@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 
 #include "mathx/units.hpp"
 #include "obs/obs.hpp"
@@ -161,13 +160,6 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-double bypass_tol_from_env() {
-  const char* e = std::getenv("RFMIX_BYPASS_TOL");
-  if (e == nullptr || *e == '\0') return 0.0;
-  const double tol = std::strtod(e, nullptr);
-  return tol > 0.0 ? tol : 0.0;
-}
-
 }  // namespace
 
 Mosfet::Mosfet(std::string name, NodeId d, NodeId g, NodeId s, NodeId b, MosParams params)
@@ -302,7 +294,7 @@ MosOperatingPoint Mosfet::evaluate(const Solution& op) const {
 
 // ---------------------------------------------------------------------------
 
-MosBatchEvaluator::MosBatchEvaluator(const Circuit& ckt) : tol_(bypass_tol_from_env()) {
+MosBatchEvaluator::MosBatchEvaluator(const Circuit& ckt) {
   for (const auto& dev : ckt.devices()) {
     const auto* m = dynamic_cast<const Mosfet*>(dev.get());
     if (m == nullptr) continue;
@@ -326,7 +318,6 @@ MosBatchEvaluator::MosBatchEvaluator(const Circuit& ckt) : tol_(bypass_tol_from_
 }
 
 void MosBatchEvaluator::evaluate(const Solution& x) {
-  tol_bypassed_ = false;
   std::size_t bypassed = 0, evaluated = 0;
   for (Group& g : groups_) {
     const std::size_t n = g.devs.size();
@@ -341,15 +332,6 @@ void MosBatchEvaluator::evaluate(const Solution& x) {
       if (g.valid[i] && same_bits(vg, g.vg[i]) && same_bits(vd, g.vd[i]) &&
           same_bits(vs, g.vs[i]) && same_bits(vb, g.vb[i])) {
         ++bypassed;  // exact bypass: recomputing would reproduce g.out[i]
-        continue;
-      }
-      if (tol_ > 0.0 && g.valid[i] && std::abs(vg - g.vg[i]) < tol_ &&
-          std::abs(vd - g.vd[i]) < tol_ && std::abs(vs - g.vs[i]) < tol_ &&
-          std::abs(vb - g.vb[i]) < tol_) {
-        // Approximate bypass: keep the stale linearization, flag it so the
-        // Newton loop re-certifies convergence with a full evaluation.
-        tol_bypassed_ = true;
-        ++bypassed;
         continue;
       }
       g.vg[i] = vg;
@@ -370,11 +352,6 @@ void MosBatchEvaluator::evaluate(const Solution& x) {
   }
   if (bypassed > 0) RFMIX_OBS_COUNT_N("spice.dev.bypassed", bypassed);
   if (evaluated > 0) RFMIX_OBS_COUNT_N("spice.dev.evaluated", evaluated);
-}
-
-void MosBatchEvaluator::invalidate() {
-  for (Group& g : groups_) std::fill(g.valid.begin(), g.valid.end(), char{0});
-  tol_bypassed_ = false;
 }
 
 const MosEval* MosBatchEvaluator::lookup(const Mosfet* m) const {

@@ -136,10 +136,7 @@ class Mosfet : public Device {
 ///
 /// Device bypass: a transistor whose four terminal voltages are bitwise
 /// unchanged since its last evaluation keeps the cached linearization
-/// (exact by definition). With RFMIX_BYPASS_TOL > 0 (see docs/solver.md) a
-/// device additionally bypasses when every terminal moved by less than the
-/// tolerance; that result is approximate, so tol_bypass_used() reports it
-/// and the Newton loop re-certifies convergence with a full evaluation.
+/// (exact by definition).
 class MosBatchEvaluator {
  public:
   /// Bind all Mosfet devices currently registered in `ckt`.
@@ -150,13 +147,6 @@ class MosBatchEvaluator {
   /// Linearize every bound device at `x` (counts spice.dev.evaluated and
   /// spice.dev.bypassed).
   void evaluate(const Solution& x);
-
-  /// True if the last evaluate() reused any within-tolerance (inexact)
-  /// cached result.
-  bool tol_bypass_used() const { return tol_bypassed_; }
-
-  /// Drop all cached linearizations, forcing the next evaluate() to be full.
-  void invalidate();
 
   /// Cached linearization for `m`, or null if `m` is not bound.
   const MosEval* lookup(const Mosfet* m) const;
@@ -172,8 +162,6 @@ class MosBatchEvaluator {
   Group groups_[4];  // [level][type]
   std::unordered_map<const Mosfet*, std::pair<int, std::size_t>> index_;
   std::size_t count_ = 0;
-  bool tol_bypassed_ = false;
-  double tol_ = 0.0;  // RFMIX_BYPASS_TOL; 0 = exact-only bypass
 };
 
 }  // namespace rfmix::spice

@@ -22,9 +22,7 @@
 
 #ifndef _WIN32
 #include <csignal>
-#include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <unistd.h>
 #endif
 
@@ -148,45 +146,10 @@ int main(int argc, char** argv) {
   }
 
   if (worker_dir.empty()) worker_dir = socket_path + ".workers";
-  if (::mkdir(worker_dir.c_str(), 0700) != 0 && errno != EEXIST) {
-    std::cerr << "rfmix-router: mkdir " << worker_dir << ": "
-              << std::strerror(errno) << "\n";
-    return 1;
-  }
   sup_opts.socket_dir = worker_dir;
   if (!cache_dir.empty()) {
     sup_opts.worker_args.push_back("--cache-dir");
     sup_opts.worker_args.push_back(cache_dir);
-  }
-
-  // Same stale-socket policy as rfmixd: only remove a socket nobody is
-  // accepting on; never clobber a non-socket.
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof(addr.sun_path)) {
-    std::cerr << "rfmix-router: socket path too long\n";
-    return 1;
-  }
-  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
-  struct stat st {};
-  if (::lstat(socket_path.c_str(), &st) == 0) {
-    if (!S_ISSOCK(st.st_mode)) {
-      std::cerr << "rfmix-router: " << socket_path
-                << " exists and is not a socket; refusing to remove it\n";
-      return 1;
-    }
-    const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (probe >= 0) {
-      const bool live =
-          ::connect(probe, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
-      ::close(probe);
-      if (live) {
-        std::cerr << "rfmix-router: another server is listening on " << socket_path
-                  << "\n";
-        return 1;
-      }
-    }
-    ::unlink(socket_path.c_str());
   }
 
   // Writes race worker crashes and client disconnects by design; EPIPE is
@@ -194,17 +157,24 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   rfmix::svc::Supervisor sup(sup_opts);
-  std::string err;
-  if (!sup.start(&err)) {
-    std::cerr << "rfmix-router: starting workers: " << err << "\n";
-    return 1;
-  }
-
   rfmix::svc::ResultCache cache(max_entries, cache_dir);
   rfmix::svc::RouterLoop loop(sup, cache, {});
+  // Claim the client socket before creating anything: a refused path
+  // (a live router, a non-socket) must leave no worker dir or fleet behind.
+  std::string err;
   if (!loop.listen_unix(socket_path, &err)) {
     std::cerr << "rfmix-router: " << socket_path << ": " << err << "\n";
-    sup.shutdown();
+    return 1;
+  }
+  if (::mkdir(worker_dir.c_str(), 0700) != 0 && errno != EEXIST) {
+    std::cerr << "rfmix-router: mkdir " << worker_dir << ": "
+              << std::strerror(errno) << "\n";
+    ::unlink(socket_path.c_str());
+    return 1;
+  }
+  if (!sup.start(&err)) {
+    std::cerr << "rfmix-router: starting workers: " << err << "\n";
+    ::unlink(socket_path.c_str());
     return 1;
   }
 

@@ -8,9 +8,7 @@
 // concurrent-identical requests are served from cache / single-flight
 // execution. SIGINT/SIGTERM trigger a graceful drain: stop accepting,
 // finish every dispatched job, flush every response, exit.
-#include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -22,9 +20,6 @@
 
 #ifndef _WIN32
 #include <csignal>
-#include <sys/socket.h>
-#include <sys/stat.h>
-#include <sys/un.h>
 #include <unistd.h>
 #endif
 
@@ -145,37 +140,6 @@ int main(int argc, char** argv) {
   }
 
 #ifndef _WIN32
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof(addr.sun_path)) {
-    std::cerr << "rfmixd: socket path too long\n";
-    return 1;
-  }
-  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
-
-  // Only ever remove a *stale* socket: refuse to clobber a regular file
-  // (or anything else) at the path, and refuse to steal a socket another
-  // live server is still accepting on.
-  struct stat st {};
-  if (::lstat(socket_path.c_str(), &st) == 0) {
-    if (!S_ISSOCK(st.st_mode)) {
-      std::cerr << "rfmixd: " << socket_path
-                << " exists and is not a socket; refusing to remove it\n";
-      return 1;
-    }
-    const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (probe >= 0) {
-      const bool live =
-          ::connect(probe, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
-      ::close(probe);
-      if (live) {
-        std::cerr << "rfmixd: another server is listening on " << socket_path << "\n";
-        return 1;
-      }
-    }
-    ::unlink(socket_path.c_str());
-  }
-
   rfmix::svc::ServerLoop loop(session, loop_opts);
   std::string err;
   if (!loop.listen_unix(socket_path, &err)) {

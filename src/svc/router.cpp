@@ -2,12 +2,8 @@
 
 #ifndef _WIN32
 
-#include <cerrno>
-#include <cstring>
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -15,8 +11,6 @@
 #include <utility>
 
 #include "obs/json_writer.hpp"
-#include "obs/obs.hpp"
-#include "svc/fault.hpp"
 #include "svc/json_parse.hpp"
 
 namespace rfmix::svc {
@@ -24,12 +18,7 @@ namespace rfmix::svc {
 namespace {
 
 namespace json = obs::json;
-using Clock = std::chrono::steady_clock;
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
+using Clock = RouterLoop::Clock;
 
 Clock::duration ms_duration(double ms) {
   return std::chrono::duration_cast<Clock::duration>(
@@ -54,97 +43,36 @@ Response analysis_response_line(int version, const std::string& id_json, bool ca
   return r;
 }
 
-/// Flush `wbuf[wpos..]` to `fd` honoring the write-side fault sites.
-/// Returns false on a fatal write error (EPIPE/ECONNRESET included — the
-/// peer is gone, which is a per-connection cleanup, never process death).
-bool flush_buffer(int fd, std::string& wbuf, std::size_t& wpos) {
-  while (wpos < wbuf.size()) {
-    fault::maybe_stall();
-    const std::size_t want = fault::clamp_write(wbuf.size() - wpos);
-    const ssize_t n = ::send(fd, wbuf.data() + wpos, want, MSG_NOSIGNAL);
-    if (n > 0) {
-      RFMIX_OBS_COUNT_N("svc.router.bytes_out", n);
-      wpos += static_cast<std::size_t>(n);
-      if (want < wbuf.size() - (wpos - static_cast<std::size_t>(n))) break;  // torn
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-  if (wpos == wbuf.size()) {
-    wbuf.clear();
-    wpos = 0;
-  } else if (wpos > (1u << 16)) {
-    wbuf.erase(0, wpos);
-    wpos = 0;
-  }
-  return true;
-}
-
 }  // namespace
 
 RouterLoop::RouterLoop(Supervisor& sup, ResultCache& cache, Options opts)
-    : sup_(sup), cache_(cache), opts_(opts) {
+    : sup_(sup),
+      cache_(cache),
+      opts_(opts),
+      loop_(*this, opts, "svc.router"),
+      cache_hits_(obs::counter("svc.router.cache_hits")),
+      replays_(obs::counter("svc.router.replays")),
+      unavailable_(obs::counter("svc.router.unavailable")),
+      worker_disconnects_(obs::counter("svc.router.worker_disconnects")),
+      heartbeat_failures_(obs::counter("svc.router.heartbeat_failures")) {
   links_.resize(sup_.workers().size());
-  int fds[2] = {-1, -1};
-  if (::pipe(fds) == 0) {
-    wake_r_ = fds[0];
-    wake_w_ = fds[1];
-    set_nonblocking(wake_r_);
-    set_nonblocking(wake_w_);
-  }
 }
 
 RouterLoop::~RouterLoop() {
-  for (auto& [gen, conn] : conns_) {
-    (void)gen;
-    if (conn.fd >= 0) ::close(conn.fd);
-  }
   for (WorkerLink& l : links_)
     if (l.fd >= 0) ::close(l.fd);
-  if (listener_ >= 0) ::close(listener_);
-  if (wake_r_ >= 0) ::close(wake_r_);
-  if (wake_w_ >= 0) ::close(wake_w_);
 }
 
-bool RouterLoop::listen_unix(const std::string& path, std::string* err) {
-  if (wake_r_ < 0 || wake_w_ < 0) {
-    if (err != nullptr) *err = "wake pipe unavailable";
-    return false;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    if (err != nullptr) *err = "socket path too long";
-    return false;
-  }
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  listener_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listener_ < 0) {
-    if (err != nullptr) *err = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  if (::bind(listener_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(listener_, opts_.backlog) != 0 || !set_nonblocking(listener_)) {
-    if (err != nullptr) *err = std::string("bind/listen: ") + std::strerror(errno);
-    ::close(listener_);
-    listener_ = -1;
-    return false;
-  }
-  return true;
+void RouterLoop::run() {
+  const Clock::time_point start = Clock::now();
+  for (WorkerLink& l : links_)
+    l.connect_deadline = start + ms_duration(opts_.connect_timeout_ms);
+  loop_.run();
 }
 
-void RouterLoop::request_shutdown() {
-  shutdown_requested_.store(true, std::memory_order_release);
-  wake();
-}
-
-void RouterLoop::notify() { wake(); }
-
-void RouterLoop::wake() {
-  const char b = 'w';
-  [[maybe_unused]] const ssize_t n = ::write(wake_w_, &b, 1);
+void RouterLoop::bump(std::uint64_t& stat, obs::Counter& counter) {
+  ++stat;
+  counter.increment();
 }
 
 // ---------------------------------------------------------------------------
@@ -184,17 +112,7 @@ void RouterLoop::send_to_worker(int idx, const std::string& line) {
   WorkerLink& l = links_[static_cast<std::size_t>(idx)];
   l.wbuf += line;
   l.wbuf.push_back('\n');
-  if (l.state == LinkState::kConnected) write_worker(l, idx);
-}
-
-void RouterLoop::finish_ticket(const Ticket& t, const Response& r) {
-  const auto it = conns_.find(t.client_gen);
-  if (it == conns_.end()) {
-    RFMIX_OBS_COUNT("svc.router.dropped_responses");
-    return;
-  }
-  if (it->second.inflight > 0) --it->second.inflight;
-  enqueue_response(it->second, r);
+  if (l.state == LinkState::kConnected) write_worker(idx);
 }
 
 bool RouterLoop::route_or_degrade(std::uint64_t ticket_id) {
@@ -241,16 +159,14 @@ void RouterLoop::degrade_ticket(std::map<std::uint64_t, Ticket>::iterator it) {
   Ticket& t = it->second;
   Response r;
   if (std::optional<std::string> payload = cache_.get(t.key)) {
-    ++stats_.cache_hits;
-    RFMIX_OBS_COUNT("svc.router.cache_hits");
+    bump(stats_.cache_hits, cache_hits_);
     r = analysis_response_line(t.version, t.id_json, /*cached=*/true, t.key, *payload);
   } else {
-    ++stats_.unavailable;
-    RFMIX_OBS_COUNT("svc.router.unavailable");
+    bump(stats_.unavailable, unavailable_);
     r = make_unavailable_response(t.version, t.id_json,
                                   "no live worker for this request", retry_after_ms());
   }
-  finish_ticket(t, r);
+  loop_.finish(t.client_gen, r);
   tickets_.erase(it);
 }
 
@@ -305,17 +221,16 @@ void RouterLoop::reroute_worker(int idx) {
     t.worker = -1;
     ++t.replays;
     if (t.replays > opts_.max_replays) {
-      ++stats_.unavailable;
-      RFMIX_OBS_COUNT("svc.router.unavailable");
-      finish_ticket(t, make_unavailable_response(
-                           t.version, t.id_json,
-                           "request replayed too many times across worker failures",
-                           retry_after_ms()));
+      bump(stats_.unavailable, unavailable_);
+      loop_.finish(t.client_gen,
+                   make_unavailable_response(
+                       t.version, t.id_json,
+                       "request replayed too many times across worker failures",
+                       retry_after_ms()));
       tickets_.erase(tit);
       continue;
     }
-    ++stats_.replays;
-    RFMIX_OBS_COUNT("svc.router.replays");
+    bump(stats_.replays, replays_);
     route_or_degrade(id);
   }
 }
@@ -328,8 +243,7 @@ void RouterLoop::link_down(int idx, bool and_kill) {
   WorkerLink& l = links_[static_cast<std::size_t>(idx)];
   if (l.fd >= 0) {
     ::close(l.fd);
-    ++stats_.worker_disconnects;
-    RFMIX_OBS_COUNT("svc.router.worker_disconnects");
+    bump(stats_.worker_disconnects, worker_disconnects_);
   }
   l = WorkerLink{};
   l.failed = true;
@@ -346,42 +260,30 @@ void RouterLoop::on_worker_spawned(int idx) {
 
 void RouterLoop::try_connect(int idx) {
   WorkerLink& l = links_[static_cast<std::size_t>(idx)];
-  const std::string& path = sup_.worker(idx).socket_path;
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) return;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return;
-  if (!set_nonblocking(fd)) {
-    ::close(fd);
-    return;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
+  bool in_progress = false;
+  const int fd = ConnLoop::connect_unix(sup_.worker(idx).socket_path, &in_progress);
+  if (fd >= 0) {
     l.fd = fd;
+    if (in_progress) {
+      l.state = LinkState::kConnecting;
+      return;
+    }
     l.state = LinkState::kConnected;
     l.hb_next = Clock::now() + ms_duration(opts_.heartbeat_interval_ms);
     flush_parked();  // a routable worker exists again
-    write_worker(l, idx);
-    return;
-  }
-  if (errno == EINPROGRESS) {
-    l.fd = fd;
-    l.state = LinkState::kConnecting;
+    write_worker(idx);
     return;
   }
   // ENOENT / ECONNREFUSED: the worker has not bound its socket yet.
   // Retry on the next tick until the connect deadline, then give up on
   // this incarnation (kill; the supervisor respawns it).
-  ::close(fd);
   if (Clock::now() >= l.connect_deadline) {
-    ++stats_.heartbeat_failures;
-    RFMIX_OBS_COUNT("svc.router.heartbeat_failures");
+    bump(stats_.heartbeat_failures, heartbeat_failures_);
     link_down(idx, /*and_kill=*/true);
   }
 }
 
-void RouterLoop::maintain_workers() {
+void RouterLoop::tick() {
   for (const int idx : sup_.poll_children()) link_down(idx, /*and_kill=*/false);
   for (const int idx : sup_.spawn_due()) on_worker_spawned(idx);
 
@@ -397,8 +299,7 @@ void RouterLoop::maintain_workers() {
       continue;
     }
     if (l.state == LinkState::kConnecting && now >= l.connect_deadline) {
-      ++stats_.heartbeat_failures;
-      RFMIX_OBS_COUNT("svc.router.heartbeat_failures");
+      bump(stats_.heartbeat_failures, heartbeat_failures_);
       link_down(idx, /*and_kill=*/true);
       continue;
     }
@@ -406,8 +307,7 @@ void RouterLoop::maintain_workers() {
     if (l.hb_outstanding && now >= l.hb_deadline) {
       // The worker accepted our connection but stopped answering pings:
       // hung, not dead. Make it dead; replay handles the rest.
-      ++stats_.heartbeat_failures;
-      RFMIX_OBS_COUNT("svc.router.heartbeat_failures");
+      bump(stats_.heartbeat_failures, heartbeat_failures_);
       link_down(idx, /*and_kill=*/true);
       continue;
     }
@@ -445,7 +345,7 @@ void RouterLoop::process_worker_line(int idx, const std::string& line) {
   if (!any_digit || line.compare(pos, kOk.size(), kOk) != 0) {
     // A worker speaking something other than our protocol is as broken as
     // a dead one.
-    RFMIX_OBS_COUNT("svc.router.protocol_errors");
+    loop_.counters().protocol_errors.increment();
     link_down(idx, /*and_kill=*/true);
     return;
   }
@@ -457,7 +357,7 @@ void RouterLoop::process_worker_line(int idx, const std::string& line) {
   } else if (line.compare(pos, 5, "false") == 0) {
     pos += 5;
   } else {
-    RFMIX_OBS_COUNT("svc.router.protocol_errors");
+    loop_.counters().protocol_errors.increment();
     link_down(idx, /*and_kill=*/true);
     return;
   }
@@ -467,7 +367,7 @@ void RouterLoop::process_worker_line(int idx, const std::string& line) {
   if (it == tickets_.end()) {
     // Cancelled client-side, or a replay raced the original worker's
     // answer; either way the result is already spoken for.
-    RFMIX_OBS_COUNT("svc.router.dropped_responses");
+    loop_.counters().dropped_responses.increment();
     return;
   }
   const Ticket t = std::move(it->second);
@@ -486,7 +386,7 @@ void RouterLoop::process_worker_line(int idx, const std::string& line) {
   } else {
     r.line = response_head(t.version, t.id_json, ok) + tail;
   }
-  finish_ticket(t, r);
+  loop_.finish(t.client_gen, r);
 }
 
 std::string RouterLoop::error_message_of(const std::string& tail) {
@@ -549,158 +449,85 @@ void RouterLoop::worker_io(int idx, short revents) {
     flush_parked();  // a routable worker exists again
   }
   if (l.state != LinkState::kConnected) return;
-  if ((revents & POLLOUT) != 0) write_worker(l, idx);
+  if ((revents & POLLOUT) != 0) write_worker(idx);
   if (l.fd < 0) return;  // write failure tore the link down
-  if ((revents & (POLLIN | POLLHUP)) != 0) {
-    char buf[65536];
-    const ssize_t n = ::recv(l.fd, buf, sizeof buf, 0);
-    if (n > 0) {
-      RFMIX_OBS_COUNT_N("svc.router.bytes_in", n);
-      l.rbuf.append(buf, static_cast<std::size_t>(n));
-      std::size_t nl;
-      while ((nl = l.rbuf.find('\n', l.rpos)) != std::string::npos) {
-        const std::string line = l.rbuf.substr(l.rpos, nl - l.rpos);
-        l.rpos = nl + 1;
-        if (!line.empty()) process_worker_line(idx, line);
-        if (links_[static_cast<std::size_t>(idx)].fd < 0) return;  // went down
-      }
-      if (l.rpos == l.rbuf.size()) {
-        l.rbuf.clear();
-        l.rpos = 0;
-      } else if (l.rpos > (1u << 16)) {
-        l.rbuf.erase(0, l.rpos);
-        l.rpos = 0;
-      }
-      return;
-    }
-    if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
-      // EOF: the worker died (crash, kill -9, crash_after). Replay.
-      link_down(idx, /*and_kill=*/false);
-    }
+  if ((revents & (POLLIN | POLLHUP)) == 0) return;
+  if (loop_.read(l) != ConnLoop::ReadStatus::kOk) {
+    // EOF: the worker died (crash, kill -9, crash_after). Replay.
+    link_down(idx, /*and_kill=*/false);
+    return;
+  }
+  std::string line;
+  while (ConnLoop::next_line(l, &line)) {
+    process_worker_line(idx, line);
+    if (l.fd < 0) return;  // the line took the link down
   }
 }
 
-void RouterLoop::write_worker(WorkerLink& l, int idx) {
+void RouterLoop::write_worker(int idx) {
+  WorkerLink& l = links_[static_cast<std::size_t>(idx)];
   if (l.fd < 0 || l.state != LinkState::kConnected) return;
-  if (!flush_buffer(l.fd, l.wbuf, l.wpos)) link_down(idx, /*and_kill=*/false);
+  if (!loop_.flush(l)) link_down(idx, /*and_kill=*/false);
+}
+
+void RouterLoop::add_pollfds(std::vector<pollfd>& fds) {
+  polled_links_.clear();
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    const WorkerLink& l = links_[i];
+    if (l.fd < 0) continue;
+    short events = 0;
+    if (l.state == LinkState::kConnecting) events = POLLOUT;
+    if (l.state == LinkState::kConnected) {
+      events = POLLIN;
+      if (l.wpos < l.wbuf.size()) events |= POLLOUT;
+    }
+    if (events == 0) continue;
+    fds.push_back(pollfd{l.fd, events, 0});
+    polled_links_.push_back(static_cast<int>(i));
+  }
+}
+
+void RouterLoop::on_pollfds(const pollfd* fds, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    if (fds[i].revents != 0) worker_io(polled_links_[i], fds[i].revents);
+}
+
+Clock::time_point RouterLoop::next_tick() const {
+  Clock::time_point nearest = sup_.next_event();
+  if (!parked_.empty()) nearest = std::min(nearest, parked_.front().second);
+  const Clock::time_point now = Clock::now();
+  const auto& workers = sup_.workers();
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    const WorkerLink& l = links_[i];
+    if (workers[i].state != Supervisor::WorkerState::kRunning) continue;
+    if (l.failed) {
+      // Dead or killed worker awaiting waitpid. The supervisor cannot
+      // timestamp the reap, and without the binary's SIGCHLD hook
+      // nothing else wakes the loop — poll soon so the respawn (and any
+      // parked tickets) are not stuck behind a long idle sleep.
+      nearest = std::min(nearest, now + ms_duration(10.0));
+    } else if (l.state == LinkState::kDisconnected) {
+      nearest = std::min(nearest, now + ms_duration(10.0));  // connect retry
+    } else if (l.state == LinkState::kConnecting) {
+      nearest = std::min(nearest, l.connect_deadline);
+    } else {
+      nearest = std::min(nearest, l.hb_outstanding ? l.hb_deadline : l.hb_next);
+    }
+  }
+  return nearest;
 }
 
 // ---------------------------------------------------------------------------
-// Client side
+// Client requests
 // ---------------------------------------------------------------------------
 
-void RouterLoop::accept_clients() {
-  while (true) {
-    const int fd = ::accept(listener_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if (!set_nonblocking(fd)) {
-      ::close(fd);
-      continue;
-    }
-    Conn conn;
-    conn.fd = fd;
-    conn.gen = next_gen_++;
-    conns_.emplace(conn.gen, std::move(conn));
-    RFMIX_OBS_COUNT("svc.router.connections");
-  }
-}
-
-void RouterLoop::read_from(Conn& conn) {
-  char buf[65536];
-  const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
-  if (n > 0) {
-    RFMIX_OBS_COUNT_N("svc.router.bytes_in", n);
-    conn.rbuf.append(buf, static_cast<std::size_t>(n));
-    return;
-  }
-  if (n == 0) {
-    conn.read_closed = true;
-    return;
-  }
-  if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
-  conn.dead = true;
-}
-
-void RouterLoop::write_client(Conn& conn) {
-  if (!flush_buffer(conn.fd, conn.wbuf, conn.wpos)) {
-    conn.dead = true;  // peer went away mid-response: reap, don't die
-    return;
-  }
-  if (conn.drop_after_flush && conn.wpos == conn.wbuf.size()) conn.dead = true;
-}
-
-void RouterLoop::enqueue_response(Conn& conn, const Response& r) {
-  fault::on_response_write();
-  conn.wbuf += r.line;
-  conn.wbuf.push_back('\n');
-  if (fault::should_drop_conn()) conn.drop_after_flush = true;
-  RFMIX_OBS_COUNT("svc.router.responses");
-}
-
-void RouterLoop::dispatch_buffered(Conn& conn) {
-  if (conn.dead || conn.discard_input) return;
-  while (true) {
-    const bool at_capacity = conn.inflight >= opts_.max_inflight ||
-                             conn.wbuf.size() - conn.wpos >= opts_.max_output_bytes;
-    if (at_capacity) {
-      if (!conn.paused) RFMIX_OBS_COUNT("svc.router.backpressure_pauses");
-      conn.paused = true;
-      break;
-    }
-    conn.paused = false;
-    const std::size_t nl = conn.rbuf.find('\n', conn.rpos);
-    if (nl == std::string::npos) {
-      if (conn.rbuf.size() - conn.rpos > opts_.max_line_bytes) {
-        enqueue_response(conn, make_error_response(2, "null", ErrorCode::kParseError,
-                                                   "request line exceeds size limit"));
-        RFMIX_OBS_COUNT("svc.router.protocol_errors");
-        conn.read_closed = true;
-        conn.rpos = conn.rbuf.size();
-      } else if (conn.read_closed && conn.rpos < conn.rbuf.size()) {
-        std::string line = conn.rbuf.substr(conn.rpos);
-        conn.rpos = conn.rbuf.size();
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        if (line.find_first_not_of(" \t") != std::string::npos)
-          process_line(conn, line);
-        continue;
-      }
-      break;
-    }
-    std::string line = conn.rbuf.substr(conn.rpos, nl - conn.rpos);
-    conn.rpos = nl + 1;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.find_first_not_of(" \t") == std::string::npos) continue;
-    process_line(conn, line);
-  }
-  if (conn.rpos == conn.rbuf.size()) {
-    conn.rbuf.clear();
-    conn.rpos = 0;
-  } else if (conn.rpos > (1u << 16)) {
-    conn.rbuf.erase(0, conn.rpos);
-    conn.rpos = 0;
-  }
-}
-
-void RouterLoop::process_line(Conn& conn, const std::string& line) {
-  ParsedRequest req;
-  if (std::optional<Response> err = ServerSession::parse_line(line, &req)) {
-    RFMIX_OBS_COUNT("svc.router.protocol_errors");
-    enqueue_response(conn, *err);
-    return;
-  }
-  if (req.kind == "cancel") {
-    do_cancel(conn, req);
-    return;
-  }
+void RouterLoop::on_request(ConnLoop::Conn& conn, const ParsedRequest& req) {
   if (req.kind == "ping") {
-    enqueue_response(conn, make_result_response(req, "{\"pong\":true}"));
+    loop_.respond(conn, make_result_response(req, "{\"pong\":true}"));
     return;
   }
   if (req.kind == "stats") {
-    enqueue_response(conn, make_result_response(req, router_stats_json()));
+    loop_.respond(conn, make_result_response(req, router_stats_json()));
     return;
   }
 
@@ -708,23 +535,22 @@ void RouterLoop::process_line(Conn& conn, const std::string& line) {
   try {
     key = request_key(req.request);
   } catch (const std::exception& e) {
-    enqueue_response(conn, make_error_response(req.version, req.id_json,
-                                               ErrorCode::kExecFailed, e.what()));
+    loop_.respond(conn, make_error_response(req.version, req.id_json,
+                                            ErrorCode::kExecFailed, e.what()));
     return;
   } catch (...) {
-    enqueue_response(conn, make_error_response(req.version, req.id_json,
-                                               ErrorCode::kExecFailed,
-                                               "unknown keying failure"));
+    loop_.respond(conn, make_error_response(req.version, req.id_json,
+                                            ErrorCode::kExecFailed,
+                                            "unknown keying failure"));
     return;
   }
   ++stats_.requests;
-  RFMIX_OBS_COUNT("svc.router.requests");
+  loop_.counters().requests.increment();
 
   if (std::optional<std::string> payload = cache_.get(key)) {
-    ++stats_.cache_hits;
-    RFMIX_OBS_COUNT("svc.router.cache_hits");
-    enqueue_response(conn, analysis_response_line(req.version, req.id_json,
-                                                  /*cached=*/true, key, *payload));
+    bump(stats_.cache_hits, cache_hits_);
+    loop_.respond(conn, analysis_response_line(req.version, req.id_json,
+                                               /*cached=*/true, key, *payload));
     return;
   }
 
@@ -740,27 +566,32 @@ void RouterLoop::process_line(Conn& conn, const std::string& line) {
   route_or_degrade(ticket_id);
 }
 
-void RouterLoop::do_cancel(Conn& conn, const ParsedRequest& req) {
-  bool found = false;
+std::vector<ConnLoop::RequestId> RouterLoop::cancel(std::uint64_t gen,
+                                                    const std::string& target) {
+  // The worker still answers a cancelled ticket eventually; the
+  // unknown-ticket path drops that result on the floor.
+  std::vector<ConnLoop::RequestId> hits;
   for (auto it = tickets_.begin(); it != tickets_.end();) {
-    Ticket& t = it->second;
-    if (t.client_gen == conn.gen && t.id_json == req.cancel_target) {
-      enqueue_response(conn, make_error_response(t.version, t.id_json,
-                                                 ErrorCode::kCancelled,
-                                                 "request cancelled by client"));
-      if (conn.inflight > 0) --conn.inflight;
+    if (it->second.client_gen == gen && it->second.id_json == target) {
+      hits.push_back({it->second.version, it->second.id_json});
       it = tickets_.erase(it);
-      found = true;
-      // The worker still answers the ticket eventually; the unknown-ticket
-      // path drops that result on the floor.
     } else {
       ++it;
     }
   }
-  enqueue_response(conn, make_result_response(
-                             req, std::string("{\"cancelled\":") +
-                                      (found ? "true" : "false") +
-                                      ",\"target\":" + req.cancel_target + "}"));
+  return hits;
+}
+
+void RouterLoop::on_close(std::uint64_t gen) {
+  // Orphan the client's tickets so workers' eventual answers are dropped
+  // instead of replayed pointlessly.
+  for (auto it = tickets_.begin(); it != tickets_.end();) {
+    if (it->second.client_gen == gen) {
+      it = tickets_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 std::string RouterLoop::router_stats_json() const {
@@ -784,176 +615,6 @@ std::string RouterLoop::router_stats_json() const {
   out += ",\"entries\":" + json::number(std::uint64_t(cache_.size()));
   out += "}}";
   return out;
-}
-
-void RouterLoop::reap_connections() {
-  const bool past_drain = draining_ && Clock::now() >= drain_deadline_;
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    Conn& conn = it->second;
-    const bool no_more_input =
-        conn.discard_input || (conn.read_closed && conn.rpos == conn.rbuf.size());
-    const bool finished =
-        no_more_input && conn.inflight == 0 && conn.wpos == conn.wbuf.size();
-    if (conn.dead || finished || past_drain) {
-      if (conn.inflight > 0) {
-        // Dying with tickets outstanding: orphan them now so workers'
-        // eventual answers are dropped instead of replayed pointlessly.
-        for (auto tit = tickets_.begin(); tit != tickets_.end();) {
-          if (tit->second.client_gen == conn.gen) {
-            tit = tickets_.erase(tit);
-          } else {
-            ++tit;
-          }
-        }
-      }
-      ::close(conn.fd);
-      RFMIX_OBS_COUNT("svc.router.disconnects");
-      it = conns_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// The loop
-// ---------------------------------------------------------------------------
-
-int RouterLoop::poll_timeout_ms() const {
-  Clock::time_point nearest = Clock::time_point::max();
-  if (draining_) nearest = std::min(nearest, drain_deadline_);
-  nearest = std::min(nearest, sup_.next_event());
-  if (!parked_.empty()) nearest = std::min(nearest, parked_.front().second);
-  const Clock::time_point now = Clock::now();
-  const auto& workers = sup_.workers();
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    const WorkerLink& l = links_[i];
-    if (workers[i].state == Supervisor::WorkerState::kRunning && l.failed) {
-      // Dead or killed worker awaiting waitpid. The supervisor cannot
-      // timestamp the reap, and without the binary's SIGCHLD hook
-      // nothing else wakes the loop — poll soon so the respawn (and any
-      // parked tickets) are not stuck behind a long idle sleep.
-      nearest = std::min(nearest, now + ms_duration(10.0));
-      continue;
-    }
-    if (workers[i].state != Supervisor::WorkerState::kRunning || l.failed) continue;
-    if (l.state == LinkState::kDisconnected) {
-      nearest = std::min(nearest, now + ms_duration(10.0));  // connect retry
-    } else if (l.state == LinkState::kConnecting) {
-      nearest = std::min(nearest, l.connect_deadline);
-    } else {
-      nearest = std::min(nearest, l.hb_outstanding ? l.hb_deadline : l.hb_next);
-    }
-  }
-  if (nearest == Clock::time_point::max()) return -1;
-  const auto ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(nearest - now).count();
-  if (ms <= 0) return 0;
-  return static_cast<int>(std::min<long long>(ms + 1, 60000));
-}
-
-void RouterLoop::run() {
-  const Clock::time_point start = Clock::now();
-  for (WorkerLink& l : links_)
-    l.connect_deadline = start + ms_duration(opts_.connect_timeout_ms);
-
-  std::vector<pollfd> fds;
-  // Parallel tags: the two sentinels, [0, links) worker index, else the
-  // client generation offset by kGenTagBase.
-  constexpr std::uint64_t kGenTagBase = 1ull << 32;
-  std::vector<std::uint64_t> tags;
-
-  while (true) {
-    if (shutdown_requested_.load(std::memory_order_acquire) && !draining_) {
-      draining_ = true;
-      drain_deadline_ = Clock::now() + ms_duration(opts_.drain_timeout_ms);
-      if (listener_ >= 0) {
-        ::close(listener_);
-        listener_ = -1;
-      }
-      for (auto& [gen, conn] : conns_) {
-        (void)gen;
-        conn.discard_input = true;
-      }
-    }
-
-    maintain_workers();
-    for (auto& [gen, conn] : conns_) {
-      (void)gen;
-      dispatch_buffered(conn);
-    }
-    reap_connections();
-    if (draining_ && conns_.empty()) break;
-
-    fds.clear();
-    tags.clear();
-    fds.push_back(pollfd{wake_r_, POLLIN, 0});
-    tags.push_back(kGenTagBase - 1);
-    if (listener_ >= 0) {
-      fds.push_back(pollfd{listener_, POLLIN, 0});
-      tags.push_back(kGenTagBase - 2);
-    }
-    for (std::size_t i = 0; i < links_.size(); ++i) {
-      const WorkerLink& l = links_[i];
-      if (l.fd < 0) continue;
-      short events = 0;
-      if (l.state == LinkState::kConnecting) events = POLLOUT;
-      if (l.state == LinkState::kConnected) {
-        events = POLLIN;
-        if (l.wpos < l.wbuf.size()) events |= POLLOUT;
-      }
-      if (events == 0) continue;
-      fds.push_back(pollfd{l.fd, events, 0});
-      tags.push_back(i);
-    }
-    for (auto& [gen, conn] : conns_) {
-      short events = 0;
-      if (!conn.read_closed && !conn.discard_input && !conn.paused) events |= POLLIN;
-      if (conn.wpos < conn.wbuf.size()) events |= POLLOUT;
-      if (events == 0) continue;
-      fds.push_back(pollfd{conn.fd, events, 0});
-      tags.push_back(kGenTagBase + gen);
-    }
-
-    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                          poll_timeout_ms());
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      const std::uint64_t tag = tags[i];
-      const short re = fds[i].revents;
-      if (tag == kGenTagBase - 1) {
-        if ((re & POLLIN) != 0) {
-          char buf[256];
-          while (::read(wake_r_, buf, sizeof buf) > 0) {
-          }
-        }
-        continue;
-      }
-      if (tag == kGenTagBase - 2) {
-        if ((re & POLLIN) != 0 && listener_ >= 0) accept_clients();
-        continue;
-      }
-      if (re == 0) continue;
-      if (tag < kGenTagBase) {
-        worker_io(static_cast<int>(tag), re);
-        continue;
-      }
-      const auto it = conns_.find(tag - kGenTagBase);
-      if (it == conns_.end()) continue;
-      Conn& conn = it->second;
-      if ((re & (POLLERR | POLLNVAL)) != 0) {
-        conn.dead = true;
-        continue;
-      }
-      if ((re & POLLOUT) != 0) write_client(conn);
-      if ((re & (POLLIN | POLLHUP)) != 0 && !conn.read_closed && !conn.dead)
-        read_from(conn);
-    }
-  }
 }
 
 }  // namespace rfmix::svc

@@ -1,10 +1,11 @@
 // rfmix-router: the fault-tolerant front process of the rfmixd cluster.
 //
-// One poll(2) loop speaks the v2 envelope on both sides: clients connect
-// to the router's Unix socket exactly as they would to a single rfmixd,
-// and the router maintains one NDJSON connection to each supervised
-// worker daemon (supervisor.hpp owns the processes). Analysis requests
-// are admitted through parse_request, keyed by their content hash, and
+// RouterLoop is the routing policy of the shared client transport
+// (ConnLoop, event_loop.hpp): clients connect to the router's Unix socket
+// exactly as they would to a single rfmixd, and the router maintains one
+// NDJSON link to each supervised worker daemon (supervisor.hpp owns the
+// processes), framed and flushed by the same ConnLoop code as client
+// connections. Analysis requests are keyed by their content hash and
 // rendezvous-hashed (highest-random-weight over the live workers) so a
 // key always lands on the same worker while that worker lives — each
 // worker's LRU cache stays disjoint and maximally warm — and migrates
@@ -32,15 +33,15 @@
 //  * a ping heartbeat on every worker connection turns a hung-but-alive
 //    worker (stall fault, livelock) into a kill + restart + replay.
 //
-// Counters: svc.router.{connections,disconnects,requests,responses,
-// cache_hits,replays,unavailable,dropped_responses,protocol_errors,
-// worker_disconnects,heartbeat_failures,bytes_in,bytes_out}.
-// See docs/robustness.md for the supervision tree and replay semantics.
+// Counters: the svc.router.* transport set (event_loop.hpp; worker-link
+// bytes count in bytes_in/bytes_out, a worker speaking garbage in
+// protocol_errors) plus svc.router.{cache_hits,replays,unavailable,
+// worker_disconnects,heartbeat_failures}. See docs/robustness.md for the
+// supervision tree and replay semantics.
 #pragma once
 
 #ifndef _WIN32
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -50,26 +51,23 @@
 #include <vector>
 
 #include "svc/cache.hpp"
+#include "svc/event_loop.hpp"
 #include "svc/request.hpp"
 #include "svc/server.hpp"
 #include "svc/supervisor.hpp"
 
 namespace rfmix::svc {
 
-class RouterLoop {
+class RouterLoop final : private ConnLoop::Policy {
  public:
-  using Clock = std::chrono::steady_clock;
+  using Clock = ConnLoop::Clock;
 
-  struct Options {
-    std::size_t max_inflight = 256;          // per-client running requests
-    std::size_t max_output_bytes = 4 << 20;  // per-client unsent responses
-    std::size_t max_line_bytes = 8 << 20;    // one request line; above: close
-    int backlog = 64;
+  struct Options : ConnLoop::Options {
+    Options() { max_inflight = 256; }  // per-client routed requests
     int max_replays = 4;                 // per ticket, before giving up
     double connect_timeout_ms = 5000.0;  // spawn -> connected, else kill
     double heartbeat_interval_ms = 500.0;
     double heartbeat_timeout_ms = 2000.0;  // ping unanswered -> kill worker
-    double drain_timeout_ms = 30000.0;
     /// retry_after_ms floor for unavailable answers when the supervisor
     /// has nothing scheduled (e.g. restarts disabled).
     double unavailable_retry_floor_ms = 250.0;
@@ -96,51 +94,31 @@ class RouterLoop {
   RouterLoop(const RouterLoop&) = delete;
   RouterLoop& operator=(const RouterLoop&) = delete;
 
-  /// Bind the client-facing Unix socket. Same contract as
-  /// ServerLoop::listen_unix.
-  bool listen_unix(const std::string& path, std::string* err);
+  /// Bind the client-facing Unix socket (see ConnLoop::listen_unix).
+  bool listen_unix(const std::string& path, std::string* err) {
+    return loop_.listen_unix(path, err);
+  }
 
   /// Serve until request_shutdown() completes a drain. The supervisor's
   /// workers must already be started; the loop connects to them as their
   /// sockets appear.
   void run();
 
-  /// Async-signal-safe graceful shutdown (also wired to SIGCHLD in the
-  /// binary: any wake just makes the loop re-check children sooner).
-  void request_shutdown();
+  /// Async-signal-safe graceful shutdown.
+  void request_shutdown() { loop_.request_shutdown(); }
 
   /// Async-signal-safe wake (SIGCHLD handler): re-check children now.
-  void notify();
+  void notify() { loop_.wake(); }
 
   Stats stats() const { return stats_; }
 
  private:
-  struct Conn {
-    int fd = -1;
-    std::uint64_t gen = 0;
-    std::string rbuf;
-    std::size_t rpos = 0;
-    std::string wbuf;
-    std::size_t wpos = 0;
-    std::size_t inflight = 0;  // tickets referencing this client
-    bool read_closed = false;
-    bool discard_input = false;
-    bool paused = false;
-    bool dead = false;
-    bool drop_after_flush = false;  // fault drop_conn / oversized line
-  };
-
   enum class LinkState { kDisconnected, kConnecting, kConnected };
 
   /// The router's connection to one worker. Bytes queued while
   /// kConnecting flush on connect; a link failure replays its tickets.
-  struct WorkerLink {
-    int fd = -1;
+  struct WorkerLink : ConnLoop::Stream {
     LinkState state = LinkState::kDisconnected;
-    std::string rbuf;
-    std::size_t rpos = 0;
-    std::string wbuf;
-    std::size_t wpos = 0;
     Clock::time_point connect_deadline{};
     /// Set when the link (or its worker) failed; cleared by a respawn.
     /// A failed worker is ineligible for routing until it comes back, so
@@ -162,20 +140,20 @@ class RouterLoop {
     int replays = 0;
   };
 
-  void wake();
-  void accept_clients();
-  void dispatch_buffered(Conn& conn);
-  void process_line(Conn& conn, const std::string& line);
-  void do_cancel(Conn& conn, const ParsedRequest& req);
-  void enqueue_response(Conn& conn, const Response& r);
+  void on_request(ConnLoop::Conn& conn, const ParsedRequest& req) override;
+  std::vector<ConnLoop::RequestId> cancel(std::uint64_t gen,
+                                          const std::string& target) override;
+  void on_close(std::uint64_t gen) override;
+  void tick() override;  // reap, respawn, connect, heartbeat, expire parked
+  Clock::time_point next_tick() const override;
+  void add_pollfds(std::vector<pollfd>& fds) override;
+  void on_pollfds(const pollfd* fds, std::size_t n) override;
+
   std::string router_stats_json() const;
 
   /// Rendezvous winner among live (supervisor-kRunning) workers, or -1.
   int pick_worker(const Hash128& key) const;
   void send_to_worker(int idx, const std::string& line);
-  /// Answer the ticket's client (if still connected) and release its
-  /// inflight slot.
-  void finish_ticket(const Ticket& t, const Response& r);
   /// Dispatch to the rendezvous winner; with no winner, park (a respawn
   /// is pending) or degrade: answer from the router's cache tier when the
   /// key is known, else `unavailable`. Returns true when the ticket is
@@ -196,7 +174,6 @@ class RouterLoop {
   void expire_parked();
   double retry_after_ms() const;
 
-  void maintain_workers();  // reap, respawn, connect, heartbeat
   void on_worker_spawned(int idx);
   void try_connect(int idx);
   void link_down(int idx, bool and_kill);
@@ -207,31 +184,27 @@ class RouterLoop {
   /// Feed the router cache tier from a successful analysis tail.
   void maybe_cache_fill(const Hash128& key, const std::string& tail);
   void worker_io(int idx, short revents);
-
-  void read_from(Conn& conn);
-  void write_client(Conn& conn);
-  void write_worker(WorkerLink& link, int idx);
-  void reap_connections();
-  int poll_timeout_ms() const;
+  void write_worker(int idx);
+  /// Count one event in both the stats() mirror and its obs counter.
+  static void bump(std::uint64_t& stat, obs::Counter& counter);
 
   Supervisor& sup_;
   ResultCache& cache_;
   Options opts_;
-  int listener_ = -1;
-  int wake_r_ = -1;
-  int wake_w_ = -1;
-  std::uint64_t next_gen_ = 1;
+  ConnLoop loop_;
+  obs::Counter& cache_hits_;
+  obs::Counter& replays_;
+  obs::Counter& unavailable_;
+  obs::Counter& worker_disconnects_;
+  obs::Counter& heartbeat_failures_;
   std::uint64_t next_ticket_ = 1;
-  std::map<std::uint64_t, Conn> conns_;
   std::vector<WorkerLink> links_;  // index-aligned with sup_.workers()
+  std::vector<int> polled_links_;  // worker index of each add_pollfds entry
   std::map<std::uint64_t, Ticket> tickets_;
   /// Tickets waiting out a fleet blip: (ticket id, give-up time). Entries
   /// whose ticket vanished (cancel, client gone) or was re-dispatched are
   /// skipped lazily.
   std::deque<std::pair<std::uint64_t, Clock::time_point>> parked_;
-  std::atomic<bool> shutdown_requested_{false};
-  bool draining_ = false;
-  Clock::time_point drain_deadline_{};
   Stats stats_;
 };
 

@@ -187,6 +187,8 @@ TEST(ThreadPool, ConfiguredThreadsHonorsEnv) {
   EXPECT_EQ(ThreadPool::configured_threads(), 3);
   ::setenv("RFMIX_THREADS", "0", 1);  // clamped up to 1
   EXPECT_EQ(ThreadPool::configured_threads(), 1);
+  ::setenv("RFMIX_THREADS", "-3", 1);  // negative: clamped up to 1 too
+  EXPECT_EQ(ThreadPool::configured_threads(), 1);
   if (old)
     ::setenv("RFMIX_THREADS", saved.c_str(), 1);
   else

@@ -154,29 +154,6 @@ TEST(SolverParity, ReuseModeActuallyRefactors) {
   EXPECT_GT(obs::counter_value("spice.lu.analyze"), analyze0);
 }
 
-// Opt-in approximate bypass: with RFMIX_BYPASS_TOL set, devices whose
-// terminal voltages moved less than the tolerance are skipped (and the
-// converged solution is re-certified with one full evaluation pass — the
-// bypass_recheck counter). The result leaves the bit-exactness contract,
-// but must stay physically equivalent to the exact run.
-TEST(SolverParity, TolBypassSkipsDevicesAndRecertifies) {
-  const std::vector<double> exact = run_tran(SolverMode::kReuse, 1,
-                                             core::MixerMode::kActive);
-  ::setenv("RFMIX_BYPASS_TOL", "1e-7", 1);
-  const std::uint64_t bypass0 = obs::counter_value("spice.dev.bypassed");
-  const std::uint64_t recheck0 = obs::counter_value("spice.newton.bypass_recheck");
-  const std::vector<double> relaxed = run_tran(SolverMode::kReuse, 1,
-                                               core::MixerMode::kActive);
-  ::unsetenv("RFMIX_BYPASS_TOL");
-  EXPECT_GT(obs::counter_value("spice.dev.bypassed"), bypass0)
-      << "tolerance bypass never skipped a device";
-  EXPECT_GT(obs::counter_value("spice.newton.bypass_recheck"), recheck0)
-      << "converged solutions were never re-certified";
-  ASSERT_EQ(relaxed.size(), exact.size());
-  for (std::size_t i = 0; i < exact.size(); ++i)
-    EXPECT_NEAR(relaxed[i], exact[i], 1e-5) << "sample " << i;
-}
-
 TEST(SolverParity, ClassicModeNeverRefactors) {
   ScopedSolverMode scoped(SolverMode::kClassic);
   const std::uint64_t refactor0 = obs::counter_value("spice.lu.refactor");

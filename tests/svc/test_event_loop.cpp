@@ -3,117 +3,40 @@
 // Covers the tentpole guarantees: many clients at once, out-of-order
 // completion with id matching, byte-identical responses to a serial
 // session, graceful drain on shutdown, cancel, deadlines, backpressure,
-// torn writes, and malformed-input liveness.
+// torn writes, and malformed-input liveness. The framing, EOF,
+// backpressure and drain cases run against a one-worker rfmix-router too:
+// both daemons share one connection loop and must answer alike.
 #include "svc/event_loop.hpp"
 
 #ifndef _WIN32
 
 #include <gtest/gtest.h>
-#include <poll.h>
+#include <fcntl.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "runtime/thread_pool.hpp"
 #include "svc/json_parse.hpp"
 #include "svc/server.hpp"
+#include "transport_fixture.hpp"
 
 namespace rfmix::svc {
 namespace {
 
-/// A blocking NDJSON test client over a Unix socket.
-struct Client {
-  int fd = -1;
+using svc_test::Client;
+using svc_test::Transport;
 
-  ~Client() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  bool connect_to(const std::string& path) {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    return ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
-  }
-
-  bool send_all(const std::string& data) {
-    std::size_t off = 0;
-    while (off < data.size()) {
-      const ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  void shutdown_write() { ::shutdown(fd, SHUT_WR); }
-
-  /// Read until `n` complete lines arrived (or EOF / timeout). Returns the
-  /// lines without their trailing newline.
-  std::vector<std::string> read_lines(std::size_t n, int timeout_ms = 60000) {
-    std::string buf;
-    std::vector<std::string> lines;
-    while (lines.size() < n) {
-      pollfd p{fd, POLLIN, 0};
-      const int rc = ::poll(&p, 1, timeout_ms);
-      if (rc <= 0) break;  // timeout
-      char chunk[65536];
-      const ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
-      if (got <= 0) break;  // EOF or error
-      buf.append(chunk, static_cast<std::size_t>(got));
-      std::size_t pos = 0, nl;
-      while ((nl = buf.find('\n', pos)) != std::string::npos) {
-        lines.push_back(buf.substr(pos, nl - pos));
-        pos = nl + 1;
-      }
-      buf.erase(0, pos);
-    }
-    return lines;
-  }
-};
-
-class EventLoopTest : public ::testing::Test {
+class EventLoopTest : public svc_test::TransportFixture {
  protected:
-  void start(ServerLoop::Options opts = ServerLoop::Options{}, int threads = 4) {
-    pool_ = std::make_unique<runtime::ScopedPool>(threads);
-    cache_ = std::make_unique<ResultCache>(1024);
-    session_ = std::make_unique<ServerSession>(*cache_, pool_->pool());
-    loop_ = std::make_unique<ServerLoop>(*session_, opts);
-    static int counter = 0;
-    path_ = ::testing::TempDir() + "rfmixd-elt-" + std::to_string(::getpid()) + "-" +
-            std::to_string(counter++) + ".sock";
-    ::unlink(path_.c_str());
-    std::string err;
-    ASSERT_TRUE(loop_->listen_unix(path_, &err)) << err;
-    thread_ = std::thread([this] { loop_->run(); });
+  void start(ServerLoop::Options opts = ServerLoop::Options{}, int threads = 4,
+             Transport via = Transport::kRfmixd) {
+    start_transport(via, opts, threads, /*cache_entries=*/1024, "elt");
   }
-
-  void TearDown() override {
-    if (loop_) loop_->request_shutdown();
-    if (thread_.joinable()) thread_.join();
-    loop_.reset();
-    if (!path_.empty()) ::unlink(path_.c_str());
-  }
-
-  std::unique_ptr<runtime::ScopedPool> pool_;
-  std::unique_ptr<ResultCache> cache_;
-  std::unique_ptr<ServerSession> session_;
-  std::unique_ptr<ServerLoop> loop_;
-  std::thread thread_;
-  std::string path_;
 };
 
 /// An analysis request that keeps a pool lane busy for a while: a dense AC
@@ -293,23 +216,27 @@ TEST_F(EventLoopTest, OversizedLineAnswersThenCloses) {
 TEST_F(EventLoopTest, BackpressureDefersButAnswersEverything) {
   ServerLoop::Options opts;
   opts.max_inflight = 2;  // force POLLIN pauses under the flood
-  start(opts, /*threads=*/3);
-  Client c;
-  ASSERT_TRUE(c.connect_to(path_));
-  std::string flood;
-  constexpr int kJobs = 12;
-  for (int i = 0; i < kJobs; ++i)
-    flood += slow_request(std::to_string(i), /*tag=*/i, 0.0, /*points=*/60) + "\n";
-  ASSERT_TRUE(c.send_all(flood));
-  const auto lines = c.read_lines(kJobs);
-  ASSERT_EQ(lines.size(), static_cast<std::size_t>(kJobs));
-  std::vector<bool> seen(kJobs, false);
-  for (const std::string& line : lines) {
-    const JsonValue doc = json_parse(line);
-    EXPECT_TRUE(doc.find("ok")->as_bool()) << line;
-    seen[static_cast<int>(doc.find("id")->as_number())] = true;
+  for (const Transport via : svc_test::kTransports) {
+    SCOPED_TRACE(svc_test::transport_name(via));
+    start(opts, /*threads=*/3, via);
+    Client c;
+    ASSERT_TRUE(c.connect_to(path_));
+    std::string flood;
+    constexpr int kJobs = 12;
+    for (int i = 0; i < kJobs; ++i)
+      flood += slow_request(std::to_string(i), /*tag=*/i, 0.0, /*points=*/60) + "\n";
+    ASSERT_TRUE(c.send_all(flood));
+    const auto lines = c.read_lines(kJobs);
+    ASSERT_EQ(lines.size(), static_cast<std::size_t>(kJobs));
+    std::vector<bool> seen(kJobs, false);
+    for (const std::string& line : lines) {
+      const JsonValue doc = json_parse(line);
+      EXPECT_TRUE(doc.find("ok")->as_bool()) << line;
+      seen[static_cast<int>(doc.find("id")->as_number())] = true;
+    }
+    EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](bool b) { return b; }));
+    TearDown();
   }
-  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](bool b) { return b; }));
 }
 
 TEST_F(EventLoopTest, CancelRemovesAQueuedRequest) {
@@ -365,37 +292,76 @@ TEST_F(EventLoopTest, DeadlineExpiryAnswersTimeout) {
 }
 
 TEST_F(EventLoopTest, ShutdownDrainsInFlightWork) {
-  start(ServerLoop::Options{}, /*threads=*/3);
-  Client c;
-  ASSERT_TRUE(c.connect_to(path_));
-  std::string burst;
-  for (int i = 0; i < 4; ++i) burst += slow_request(std::to_string(i), 10 + i) + "\n";
-  ASSERT_TRUE(c.send_all(burst));
-  // Give the loop a beat to dispatch, then ask for shutdown mid-flight.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  loop_->request_shutdown();
-  const auto lines = c.read_lines(4);
-  thread_.join();
-  // Every dispatched job completed and was flushed before run() returned.
-  ASSERT_EQ(lines.size(), 4u) << "shutdown dropped in-flight responses";
-  for (const std::string& line : lines) {
-    const JsonValue doc = json_parse(line);
-    EXPECT_TRUE(doc.find("ok")->as_bool()) << line;
+  for (const Transport via : svc_test::kTransports) {
+    SCOPED_TRACE(svc_test::transport_name(via));
+    start(ServerLoop::Options{}, /*threads=*/3, via);
+    Client c;
+    ASSERT_TRUE(c.connect_to(path_));
+    std::string burst;
+    for (int i = 0; i < 4; ++i) burst += slow_request(std::to_string(i), 10 + i) + "\n";
+    ASSERT_TRUE(c.send_all(burst));
+    // Give the loop a beat to dispatch, then ask for shutdown mid-flight.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    request_shutdown();
+    const auto lines = c.read_lines(4);
+    thread_.join();
+    // Every dispatched job completed and was flushed before run() returned.
+    ASSERT_EQ(lines.size(), 4u) << "shutdown dropped in-flight responses";
+    for (const std::string& line : lines) {
+      const JsonValue doc = json_parse(line);
+      EXPECT_TRUE(doc.find("ok")->as_bool()) << line;
+    }
+    // And the listener is gone: new connections fail.
+    Client late;
+    EXPECT_FALSE(late.connect_to(path_));
+    TearDown();
   }
-  // And the listener is gone: new connections fail.
-  Client late;
-  EXPECT_FALSE(late.connect_to(path_));
 }
 
 TEST_F(EventLoopTest, EofWithUnterminatedFinalLineStillAnswers) {
-  start();
+  for (const Transport via : svc_test::kTransports) {
+    SCOPED_TRACE(svc_test::transport_name(via));
+    start(ServerLoop::Options{}, 4, via);
+    Client c;
+    ASSERT_TRUE(c.connect_to(path_));
+    ASSERT_TRUE(c.send_all(R"({"v":2,"id":"last","kind":"ping"})"));  // no newline
+    c.shutdown_write();
+    const auto lines = c.read_lines(1);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_EQ(lines[0], R"({"v":2,"id":"last","ok":true,"result":{"pong":true}})");
+    TearDown();
+  }
+}
+
+TEST_F(EventLoopTest, ListenReplacesOnlyAStaleSocket) {
+  start();  // a live server on path_
+  ServerLoop other(*session_);
+  std::string err;
+  // Another live server's socket is never stolen...
+  EXPECT_FALSE(other.listen_unix(path_, &err));
+  EXPECT_NE(err.find("another server is listening"), std::string::npos) << err;
+
+  // ...nor is anything that is not a socket removed...
+  const std::string file = path_ + ".file";
+  const int fd = ::open(file.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0600);
+  ASSERT_GE(fd, 0);
+  ::close(fd);
+  EXPECT_FALSE(other.listen_unix(file, &err));
+  EXPECT_NE(err.find("not a socket"), std::string::npos) << err;
+  EXPECT_EQ(::access(file.c_str(), F_OK), 0) << "a regular file was removed";
+  ::unlink(file.c_str());
+
+  // ...but a socket whose server is gone is replaced.
+  const std::string stale = path_ + ".stale";
+  {
+    ServerLoop dead(*session_);
+    ASSERT_TRUE(dead.listen_unix(stale, &err)) << err;
+  }  // closed without unlinking, as a crashed server leaves it
+  ASSERT_EQ(::access(stale.c_str(), F_OK), 0);
+  EXPECT_TRUE(other.listen_unix(stale, &err)) << err;
   Client c;
-  ASSERT_TRUE(c.connect_to(path_));
-  ASSERT_TRUE(c.send_all(R"({"v":2,"id":"last","kind":"ping"})"));  // no newline
-  c.shutdown_write();
-  const auto lines = c.read_lines(1);
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0], R"({"v":2,"id":"last","ok":true,"result":{"pong":true}})");
+  EXPECT_TRUE(c.connect_to(stale));
+  ::unlink(stale.c_str());
 }
 
 TEST_F(EventLoopTest, PeerDisconnectMidResponseIsConnectionCleanupNotDeath) {

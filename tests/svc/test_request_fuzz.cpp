@@ -4,7 +4,8 @@
 // byte-at-a-time, and in seeded random splits — every feed must produce
 // responses byte-identical to the serial handle_line oracle. Torn framing
 // must be invisible: the transport either delivers the exact same bytes or
-// it has a bug.
+// it has a bug. Every feed also runs against a one-worker rfmix-router,
+// which shares the connection loop and must answer with the same bytes.
 //
 // Also pins the serialize_v2_request fixed point the router's replay
 // machinery depends on: parse -> serialize -> parse must converge (same
@@ -15,11 +16,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
-#include <cstring>
-#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -28,9 +25,13 @@
 #include "svc/event_loop.hpp"
 #include "svc/request.hpp"
 #include "svc/server.hpp"
+#include "transport_fixture.hpp"
 
 namespace rfmix::svc {
 namespace {
+
+using svc_test::Client;
+using svc_test::Transport;
 
 std::vector<std::string> corpus() {
   std::vector<std::string> lines;
@@ -82,113 +83,52 @@ std::vector<std::string> oracle_responses(const std::vector<std::string>& lines)
   return out;
 }
 
-struct Client {
-  int fd = -1;
-  ~Client() {
-    if (fd >= 0) ::close(fd);
-  }
-  bool connect_to(const std::string& path) {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    return ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
-  }
-  bool send_all(const std::string& data) {
-    std::size_t off = 0;
-    while (off < data.size()) {
-      const ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-  std::vector<std::string> read_lines(std::size_t n, int timeout_ms = 60000) {
-    std::string buf;
-    std::vector<std::string> lines;
-    while (lines.size() < n) {
-      pollfd p{fd, POLLIN, 0};
-      if (::poll(&p, 1, timeout_ms) <= 0) break;
-      char chunk[65536];
-      const ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
-      if (got <= 0) break;
-      buf.append(chunk, static_cast<std::size_t>(got));
-      std::size_t pos = 0, nl;
-      while ((nl = buf.find('\n', pos)) != std::string::npos) {
-        lines.push_back(buf.substr(pos, nl - pos));
-        pos = nl + 1;
-      }
-      buf.erase(0, pos);
-    }
-    return lines;
-  }
-};
-
-class RequestFuzzTest : public ::testing::Test {
+class RequestFuzzTest : public svc_test::TransportFixture {
  protected:
-  void start(ServerLoop::Options opts = ServerLoop::Options{}) {
+  void start(ServerLoop::Options opts = ServerLoop::Options{},
+             Transport via = Transport::kRfmixd) {
     // max_inflight=1 serializes analysis completion per connection, so
     // response order equals request order and whole-stream comparison is
     // exact.
     opts.max_inflight = 1;
-    pool_ = std::make_unique<runtime::ScopedPool>(2);
-    cache_ = std::make_unique<ResultCache>(256);
-    session_ = std::make_unique<ServerSession>(*cache_, pool_->pool());
-    loop_ = std::make_unique<ServerLoop>(*session_, opts);
-    static int counter = 0;
-    path_ = ::testing::TempDir() + "rfmixd-fuzz-" + std::to_string(::getpid()) + "-" +
-            std::to_string(counter++) + ".sock";
-    ::unlink(path_.c_str());
-    std::string err;
-    ASSERT_TRUE(loop_->listen_unix(path_, &err)) << err;
-    thread_ = std::thread([this] { loop_->run(); });
+    start_transport(via, opts, /*threads=*/2, /*cache_entries=*/256, "fuzz");
   }
-
-  void TearDown() override {
-    if (loop_) loop_->request_shutdown();
-    if (thread_.joinable()) thread_.join();
-    loop_.reset();
-    if (!path_.empty()) ::unlink(path_.c_str());
-  }
-
-  std::unique_ptr<runtime::ScopedPool> pool_;
-  std::unique_ptr<ResultCache> cache_;
-  std::unique_ptr<ServerSession> session_;
-  std::unique_ptr<ServerLoop> loop_;
-  std::thread thread_;
-  std::string path_;
 };
 
 TEST_F(RequestFuzzTest, WholeLineFeedMatchesOracle) {
   const auto lines = corpus();
   const auto expected = oracle_responses(lines);
-  start();
-  Client c;
-  ASSERT_TRUE(c.connect_to(path_));
-  std::string stream;
-  for (const auto& line : lines) stream += line + "\n";
-  ASSERT_TRUE(c.send_all(stream));
-  const auto got = c.read_lines(lines.size());
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) EXPECT_EQ(got[i], expected[i]) << i;
+  for (const Transport via : svc_test::kTransports) {
+    SCOPED_TRACE(svc_test::transport_name(via));
+    start(ServerLoop::Options{}, via);
+    Client c;
+    ASSERT_TRUE(c.connect_to(path_));
+    std::string stream;
+    for (const auto& line : lines) stream += line + "\n";
+    ASSERT_TRUE(c.send_all(stream));
+    const auto got = c.read_lines(lines.size());
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) EXPECT_EQ(got[i], expected[i]) << i;
+    TearDown();
+  }
 }
 
 TEST_F(RequestFuzzTest, ByteAtATimeFeedIsByteIdenticalToWholeLines) {
   const auto lines = corpus();
   const auto expected = oracle_responses(lines);
-  start();
-  Client c;
-  ASSERT_TRUE(c.connect_to(path_));
-  std::string stream;
-  for (const auto& line : lines) stream += line + "\n";
-  for (const char ch : stream) ASSERT_TRUE(c.send_all(std::string(1, ch)));
-  const auto got = c.read_lines(lines.size());
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) EXPECT_EQ(got[i], expected[i]) << i;
+  for (const Transport via : svc_test::kTransports) {
+    SCOPED_TRACE(svc_test::transport_name(via));
+    start(ServerLoop::Options{}, via);
+    Client c;
+    ASSERT_TRUE(c.connect_to(path_));
+    std::string stream;
+    for (const auto& line : lines) stream += line + "\n";
+    for (const char ch : stream) ASSERT_TRUE(c.send_all(std::string(1, ch)));
+    const auto got = c.read_lines(lines.size());
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) EXPECT_EQ(got[i], expected[i]) << i;
+    TearDown();
+  }
 }
 
 TEST_F(RequestFuzzTest, SeededRandomSplitsAreByteIdenticalToWholeLines) {
@@ -197,23 +137,26 @@ TEST_F(RequestFuzzTest, SeededRandomSplitsAreByteIdenticalToWholeLines) {
   std::string stream;
   for (const auto& line : lines) stream += line + "\n";
 
-  for (const std::uint32_t seed : {1u, 7u, 1234u}) {
-    start();
-    std::mt19937 rng(seed);
-    std::uniform_int_distribution<std::size_t> chunk(1, 23);
-    Client c;
-    ASSERT_TRUE(c.connect_to(path_));
-    std::size_t off = 0;
-    while (off < stream.size()) {
-      const std::size_t n = std::min(chunk(rng), stream.size() - off);
-      ASSERT_TRUE(c.send_all(stream.substr(off, n)));
-      off += n;
+  for (const Transport via : svc_test::kTransports) {
+    SCOPED_TRACE(svc_test::transport_name(via));
+    for (const std::uint32_t seed : {1u, 7u, 1234u}) {
+      start(ServerLoop::Options{}, via);
+      std::mt19937 rng(seed);
+      std::uniform_int_distribution<std::size_t> chunk(1, 23);
+      Client c;
+      ASSERT_TRUE(c.connect_to(path_));
+      std::size_t off = 0;
+      while (off < stream.size()) {
+        const std::size_t n = std::min(chunk(rng), stream.size() - off);
+        ASSERT_TRUE(c.send_all(stream.substr(off, n)));
+        off += n;
+      }
+      const auto got = c.read_lines(lines.size());
+      ASSERT_EQ(got.size(), expected.size()) << "seed " << seed;
+      for (std::size_t i = 0; i < expected.size(); ++i)
+        EXPECT_EQ(got[i], expected[i]) << "seed " << seed << " line " << i;
+      TearDown();
     }
-    const auto got = c.read_lines(lines.size());
-    ASSERT_EQ(got.size(), expected.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < expected.size(); ++i)
-      EXPECT_EQ(got[i], expected[i]) << "seed " << seed << " line " << i;
-    TearDown();
   }
 }
 
@@ -234,53 +177,61 @@ TEST_F(RequestFuzzTest, TwoClientsInterleavedTornFeeds) {
   const auto expected_a = oracle_responses(half_a);
   const auto expected_b = oracle_responses(half_b);
 
-  start();
-  Client a, b;
-  ASSERT_TRUE(a.connect_to(path_));
-  ASSERT_TRUE(b.connect_to(path_));
-  std::string stream_a, stream_b;
-  for (const auto& l : half_a) stream_a += l + "\n";
-  for (const auto& l : half_b) stream_b += l + "\n";
-  std::mt19937 rng(42);
-  std::uniform_int_distribution<std::size_t> chunk(1, 9);
-  std::size_t off_a = 0, off_b = 0;
-  while (off_a < stream_a.size() || off_b < stream_b.size()) {
-    if (off_a < stream_a.size()) {
-      const std::size_t n = std::min(chunk(rng), stream_a.size() - off_a);
-      ASSERT_TRUE(a.send_all(stream_a.substr(off_a, n)));
-      off_a += n;
+  for (const Transport via : svc_test::kTransports) {
+    SCOPED_TRACE(svc_test::transport_name(via));
+    start(ServerLoop::Options{}, via);
+    Client a, b;
+    ASSERT_TRUE(a.connect_to(path_));
+    ASSERT_TRUE(b.connect_to(path_));
+    std::string stream_a, stream_b;
+    for (const auto& l : half_a) stream_a += l + "\n";
+    for (const auto& l : half_b) stream_b += l + "\n";
+    std::mt19937 rng(42);
+    std::uniform_int_distribution<std::size_t> chunk(1, 9);
+    std::size_t off_a = 0, off_b = 0;
+    while (off_a < stream_a.size() || off_b < stream_b.size()) {
+      if (off_a < stream_a.size()) {
+        const std::size_t n = std::min(chunk(rng), stream_a.size() - off_a);
+        ASSERT_TRUE(a.send_all(stream_a.substr(off_a, n)));
+        off_a += n;
+      }
+      if (off_b < stream_b.size()) {
+        const std::size_t n = std::min(chunk(rng), stream_b.size() - off_b);
+        ASSERT_TRUE(b.send_all(stream_b.substr(off_b, n)));
+        off_b += n;
+      }
     }
-    if (off_b < stream_b.size()) {
-      const std::size_t n = std::min(chunk(rng), stream_b.size() - off_b);
-      ASSERT_TRUE(b.send_all(stream_b.substr(off_b, n)));
-      off_b += n;
-    }
+    const auto got_a = a.read_lines(half_a.size());
+    const auto got_b = b.read_lines(half_b.size());
+    ASSERT_EQ(got_a.size(), expected_a.size());
+    ASSERT_EQ(got_b.size(), expected_b.size());
+    for (std::size_t i = 0; i < expected_a.size(); ++i) EXPECT_EQ(got_a[i], expected_a[i]);
+    for (std::size_t i = 0; i < expected_b.size(); ++i) EXPECT_EQ(got_b[i], expected_b[i]);
+    TearDown();
   }
-  const auto got_a = a.read_lines(half_a.size());
-  const auto got_b = b.read_lines(half_b.size());
-  ASSERT_EQ(got_a.size(), expected_a.size());
-  ASSERT_EQ(got_b.size(), expected_b.size());
-  for (std::size_t i = 0; i < expected_a.size(); ++i) EXPECT_EQ(got_a[i], expected_a[i]);
-  for (std::size_t i = 0; i < expected_b.size(); ++i) EXPECT_EQ(got_b[i], expected_b[i]);
 }
 
 TEST_F(RequestFuzzTest, OversizedLineAnswersStructuredErrorAndCloses) {
   ServerLoop::Options opts;
   opts.max_line_bytes = 4096;
-  start(opts);
-  Client c;
-  ASSERT_TRUE(c.connect_to(path_));
-  // 8 KiB with no newline: unresynchronizable garbage.
-  ASSERT_TRUE(c.send_all(std::string(8192, 'a')));
-  const auto lines = c.read_lines(1);
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("\"code\":\"parse_error\""), std::string::npos) << lines[0];
-  EXPECT_NE(lines[0].find("exceeds size limit"), std::string::npos) << lines[0];
-  // The server must hang up (EOF), not wait for more bytes.
-  char byte;
-  pollfd p{c.fd, POLLIN, 0};
-  ASSERT_GT(::poll(&p, 1, 30000), 0);
-  EXPECT_EQ(::recv(c.fd, &byte, 1, 0), 0);
+  for (const Transport via : svc_test::kTransports) {
+    SCOPED_TRACE(svc_test::transport_name(via));
+    start(opts, via);
+    Client c;
+    ASSERT_TRUE(c.connect_to(path_));
+    // 8 KiB with no newline: unresynchronizable garbage.
+    ASSERT_TRUE(c.send_all(std::string(8192, 'a')));
+    const auto lines = c.read_lines(1);
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_NE(lines[0].find("\"code\":\"parse_error\""), std::string::npos) << lines[0];
+    EXPECT_NE(lines[0].find("exceeds size limit"), std::string::npos) << lines[0];
+    // The server must hang up (EOF), not wait for more bytes.
+    char byte;
+    pollfd p{c.fd, POLLIN, 0};
+    ASSERT_GT(::poll(&p, 1, 30000), 0);
+    EXPECT_EQ(::recv(c.fd, &byte, 1, 0), 0);
+    TearDown();
+  }
 }
 
 // ---------------------------------------------------------------------------

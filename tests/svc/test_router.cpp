@@ -18,16 +18,12 @@
 #ifndef _WIN32
 
 #include <gtest/gtest.h>
-#include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -39,62 +35,12 @@
 #include "svc/json_parse.hpp"
 #include "svc/server.hpp"
 #include "svc/supervisor.hpp"
+#include "transport_fixture.hpp"
 
 namespace rfmix::svc {
 namespace {
 
-/// A blocking NDJSON test client over a Unix socket (same shape as the
-/// event-loop tests').
-struct Client {
-  int fd = -1;
-
-  ~Client() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  bool connect_to(const std::string& path) {
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return false;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    return ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
-  }
-
-  bool send_all(const std::string& data) {
-    std::size_t off = 0;
-    while (off < data.size()) {
-      const ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  std::vector<std::string> read_lines(std::size_t n, int timeout_ms = 120000) {
-    std::string buf;
-    std::vector<std::string> lines;
-    while (lines.size() < n) {
-      pollfd p{fd, POLLIN, 0};
-      const int rc = ::poll(&p, 1, timeout_ms);
-      if (rc <= 0) break;
-      char chunk[65536];
-      const ssize_t got = ::recv(fd, chunk, sizeof chunk, 0);
-      if (got <= 0) break;
-      buf.append(chunk, static_cast<std::size_t>(got));
-      std::size_t pos = 0, nl;
-      while ((nl = buf.find('\n', pos)) != std::string::npos) {
-        lines.push_back(buf.substr(pos, nl - pos));
-        pos = nl + 1;
-      }
-      buf.erase(0, pos);
-    }
-    return lines;
-  }
-};
+using svc_test::Client;
 
 class RouterTest : public ::testing::Test {
  protected:
@@ -115,15 +61,24 @@ class RouterTest : public ::testing::Test {
     sup_ = std::make_unique<Supervisor>(sopts);
     std::string err;
     ASSERT_TRUE(sup_->start(&err)) << err;
+    // Supervisor state belongs to the loop thread once it runs; the test
+    // thread keeps its own copy of the first incarnations' pids.
+    for (const Supervisor::Worker& w : sup_->workers()) pids_.push_back(w.pid);
     cache_ = std::make_unique<ResultCache>(1024);
     loop_ = std::make_unique<RouterLoop>(*sup_, *cache_, ropts);
     ASSERT_TRUE(loop_->listen_unix(path_, &err)) << err;
     thread_ = std::thread([this] { loop_->run(); });
   }
 
-  void TearDown() override {
+  /// Drain and join the loop thread; supervisor state is then safe to
+  /// read from the test thread.
+  void stop_loop() {
     if (loop_) loop_->request_shutdown();
     if (thread_.joinable()) thread_.join();
+  }
+
+  void TearDown() override {
+    stop_loop();
     loop_.reset();
     if (sup_) sup_->shutdown(2000.0);
     sup_.reset();
@@ -131,6 +86,7 @@ class RouterTest : public ::testing::Test {
   }
 
   std::unique_ptr<Supervisor> sup_;
+  std::vector<pid_t> pids_;  // worker pids as first spawned
   std::unique_ptr<ResultCache> cache_;
   std::unique_ptr<RouterLoop> loop_;
   std::thread thread_;
@@ -220,6 +176,7 @@ TEST_F(RouterTest, RepeatedKeyAnswersFromRouterCacheTier) {
     return line.substr(line.find("\"key\":"));
   };
   EXPECT_EQ(tail_of(first[0]), tail_of(second[0]));
+  stop_loop();  // stats() belongs to the loop thread while it runs
   EXPECT_GE(loop_->stats().cache_hits, 1u);
 }
 
@@ -246,7 +203,7 @@ TEST_F(RouterTest, KillWorkerMidFlightAnswersEverythingByteIdentical) {
   // Give the router a beat to dispatch, then SIGKILL one worker while its
   // share of the batch is genuinely in flight.
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  const pid_t victim = sup_->workers()[0].pid;
+  const pid_t victim = pids_[0];
   ASSERT_GT(victim, 0);
   ASSERT_EQ(::kill(victim, SIGKILL), 0);
 
@@ -276,7 +233,7 @@ TEST_F(RouterTest, AllWorkersDownDegradesCachedHitsAndStructuredUnavailable) {
   ASSERT_EQ(warm.size(), 1u);
   ASSERT_NE(warm[0].find("\"ok\":true"), std::string::npos);
 
-  for (const Supervisor::Worker& w : sup_->workers()) ::kill(w.pid, SIGKILL);
+  for (const pid_t pid : pids_) ::kill(pid, SIGKILL);
 
   // The cached key answers from the router tier even with zero workers.
   // (Retry until the router has noticed both deaths: a request dispatched
@@ -338,6 +295,7 @@ TEST_F(RouterTest, CrashAfterFaultIsSurvivedByReplayAndRestart) {
   }
   // The fleet crashed repeatedly underneath the batch, with the fault's
   // distinctive exit code.
+  stop_loop();
   std::uint64_t spawns = 0;
   bool saw_fault_exit = false;
   for (const Supervisor::Worker& w : sup_->workers()) {
@@ -395,6 +353,7 @@ TEST_F(RouterTest, HungWorkersAreKilledByHeartbeatAndRequestsDegrade) {
   // must see is a bounded structured failure, not an infinite wait.
   EXPECT_NE(lines[0].find("\"code\":\"unavailable\""), std::string::npos) << lines[0];
   EXPECT_LT(elapsed, 30000);
+  stop_loop();  // stats() belongs to the loop thread while it runs
   EXPECT_GE(loop_->stats().heartbeat_failures, 1u);
 }
 
