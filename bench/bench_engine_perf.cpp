@@ -5,6 +5,7 @@
 
 #include "core/circuits.hpp"
 #include "core/lptv_model.hpp"
+#include "gen/templates.hpp"
 #include "mathx/fft.hpp"
 #include "mathx/lu.hpp"
 #include "mathx/rng.hpp"
@@ -13,9 +14,11 @@
 #include "runtime/thread_pool.hpp"
 #include "spice/devices_passive.hpp"
 #include "spice/devices_sources.hpp"
+#include "spice/mna.hpp"
 #include "spice/montecarlo.hpp"
 #include "spice/mosfet.hpp"
 #include "spice/op.hpp"
+#include "spice/parser.hpp"
 #include "spice/pss.hpp"
 #include "spice/solver.hpp"
 #include "spice/tech65.hpp"
@@ -144,6 +147,75 @@ void BM_SparseLuRefactor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SparseLuRefactor)->Arg(128)->Arg(512)->Arg(1024);
+
+// The same two kernels on representative MNA Jacobians, each assembled at
+// its DC operating point: arg 0 is the paper's mixer (n = 18), where
+// analyze keeps the linear scan over earlier columns, any other arg an
+// rx_array of that many elements (n = 31 per element), where analyze takes
+// the Gilbert–Peierls reach. Together they show both sides of the
+// crossover.
+mathx::CscMatrix<double> op_point_jacobian(spice::Circuit& ckt) {
+  const spice::Solution x = spice::dc_operating_point(ckt);
+  const std::size_t n = static_cast<std::size_t>(ckt.layout().size());
+  mathx::TripletMatrix<double> g(n, n);
+  mathx::VectorD b(n, 0.0);
+  spice::StampParams sp;
+  sp.mode = spice::AnalysisMode::kDc;
+  spice::assemble_real(ckt, x, sp, spice::NewtonOptions{}.gmin, g, b);
+  return mathx::CscMatrix<double>(g);
+}
+
+mathx::CscMatrix<double> representative_jacobian(int elements) {
+  if (elements == 0) {
+    core::MixerConfig cfg;
+    cfg.mode = core::MixerMode::kActive;
+    auto mixer = core::build_transistor_mixer(cfg);
+    return op_point_jacobian(mixer->circuit);
+  }
+  gen::GenSpec spec;
+  spec.template_id = "rx_array";
+  spec.elements = elements;
+  spec.paths = 4;
+  spec.sections = 6;
+  spec.zbb_c = 2e-12;
+  spec.mismatch = 0.05;
+  spec.seed = 1;
+  spice::Circuit ckt = spice::parse_netlist(gen::render_netlist(spec));
+  return op_point_jacobian(ckt);
+}
+
+// Args: (0 = mixer / rx_array elements, 1 = export the symbolic).
+void BM_SparseLuAnalyzeJacobian(benchmark::State& state) {
+  const mathx::CscMatrix<double> a = representative_jacobian(static_cast<int>(state.range(0)));
+  mathx::SparseLuSymbolic<double> sym;
+  for (auto _ : state) {
+    if (state.range(1) != 0) {
+      mathx::SparseLu<double> lu(a, sym);
+      benchmark::DoNotOptimize(lu);
+    } else {
+      mathx::SparseLu<double> lu(a);
+      benchmark::DoNotOptimize(lu);
+    }
+  }
+  state.counters["n"] = static_cast<double>(a.cols());
+}
+BENCHMARK(BM_SparseLuAnalyzeJacobian)
+    ->Args({0, 0})->Args({0, 1})->Args({256, 0})->Args({256, 1})->Args({1024, 1})
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_SparseLuRefactorJacobian(benchmark::State& state) {
+  const mathx::CscMatrix<double> a = representative_jacobian(static_cast<int>(state.range(0)));
+  mathx::SparseLuSymbolic<double> sym;
+  const mathx::SparseLu<double> analyzed(a, sym);
+  mathx::SparseLu<double> lu;
+  for (auto _ : state) {
+    const bool ok = lu.refactor_from(sym, a);
+    benchmark::DoNotOptimize(ok);
+  }
+  state.counters["n"] = static_cast<double>(a.cols());
+}
+BENCHMARK(BM_SparseLuRefactorJacobian)->Arg(0)->Arg(256)->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
 
 // Solver-mode scaling probe: an N-stage RC-coupled common-source ladder
 // (2N+4 unknowns) under a sine drive. Unlike the mixer, whose Jacobian

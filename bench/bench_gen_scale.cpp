@@ -8,9 +8,13 @@
 // that it stays near 1 (linear), not 2 (the naive re-tokenize-per-instance
 // blowup).
 //
+// The op-point solve is gated the same way: a full run fails if its
+// log-log exponent exceeds 1.2 (sparse LU analyze is linear in fill, not
+// quadratic in the unknown count).
+//
 // --smoke runs only the largest size against a wall-clock budget
-// (--budget-ms, default 60000): the CI Release lane's 100k-device
-// regression tripwire.
+// (--budget-ms, default 60000) and, with --max-solve-ms, a bound on that
+// size's solve time: the CI Release lane's 100k-device regression tripwire.
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -84,10 +88,13 @@ int main(int argc, char** argv) {
 
   bool smoke = false;
   double budget_ms = 60000.0;
+  double max_solve_ms = 0.0;  // 0: no bound on the largest size's solve
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--budget-ms") == 0 && i + 1 < argc)
       budget_ms = std::stod(argv[i + 1]);
+    if (std::strcmp(argv[i], "--max-solve-ms") == 0 && i + 1 < argc)
+      max_solve_ms = std::stod(argv[i + 1]);
   }
 
   if (!cli.csv())
@@ -114,14 +121,16 @@ int main(int argc, char** argv) {
                rf::ConsoleTable::num(1e3 * pt.elaborate_ms / double(pt.devices), 3)});
   }
 
-  // Log-log slope of elaboration time vs device count across the sweep:
-  // 1.0 = linear, 2.0 = quadratic blowup.
+  // Log-log slopes of elaboration and solve time vs device count across
+  // the sweep: 1.0 = linear, 2.0 = quadratic blowup.
   double exponent = 1.0;
+  double solve_exponent = 1.0;
   if (points.size() >= 2) {
     const ScalePoint& a = points.front();
     const ScalePoint& b = points.back();
-    exponent = std::log(b.elaborate_ms / a.elaborate_ms) /
-               std::log(double(b.devices) / double(a.devices));
+    const double span = std::log(double(b.devices) / double(a.devices));
+    exponent = std::log(b.elaborate_ms / a.elaborate_ms) / span;
+    solve_exponent = std::log(b.solve_ms / a.solve_ms) / span;
   }
 
   const ScalePoint& big = points.back();
@@ -129,7 +138,9 @@ int main(int argc, char** argv) {
     table.print(out);
     if (!smoke)
       out << "\nelaboration scaling exponent (log-log slope): "
-          << rf::ConsoleTable::num(exponent, 2) << " (1 = linear)\n";
+          << rf::ConsoleTable::num(exponent, 2) << " (1 = linear)\n"
+          << "solve scaling exponent (log-log slope): "
+          << rf::ConsoleTable::num(solve_exponent, 2) << " (1 = linear)\n";
     out << "largest: " << big.devices << " devices, elaborate "
         << rf::ConsoleTable::num(big.elaborate_ms, 1) << " ms, solve "
         << rf::ConsoleTable::num(big.solve_ms, 1) << " ms\n";
@@ -137,12 +148,14 @@ int main(int argc, char** argv) {
 
   cli.set_config("smoke", smoke ? 1.0 : 0.0);
   cli.set_config("budget_ms", budget_ms);
+  cli.set_config("max_solve_ms", max_solve_ms);
   cli.add_metric("devices_max", double(big.devices));
   cli.add_metric("render_ms", big.render_ms);
   cli.add_metric("elaborate_ms", big.elaborate_ms);
   cli.add_metric("solve_ms", big.solve_ms);
   cli.add_metric("total_ms", total_ms);
   cli.add_metric("scaling_exponent", exponent);
+  cli.add_metric("solve_exponent", solve_exponent);
 
   // Failures the driver can see: a quadratic elaborator or a blown budget.
   if (big.devices < 100000) {
@@ -156,8 +169,20 @@ int main(int argc, char** argv) {
     cli.finish();
     return 1;
   }
+  if (max_solve_ms > 0.0 && big.solve_ms > max_solve_ms) {
+    out << "GEN-SCALE FAILED: " << big.solve_ms << " ms op-point solve exceeds "
+        << max_solve_ms << " ms\n";
+    cli.finish();
+    return 1;
+  }
   if (!smoke && exponent > 1.35) {
     out << "GEN-SCALE FAILED: elaboration scaling exponent " << exponent
+        << " (expected near-linear)\n";
+    cli.finish();
+    return 1;
+  }
+  if (!smoke && solve_exponent > 1.2) {
+    out << "GEN-SCALE FAILED: solve scaling exponent " << solve_exponent
         << " (expected near-linear)\n";
     cli.finish();
     return 1;

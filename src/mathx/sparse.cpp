@@ -151,12 +151,18 @@ void TripletCscMap<T>::fill(const TripletMatrix<T>& t, CscMatrix<T>& csc) const 
 
 template <typename T>
 SparseLu<T>::SparseLu(const CscMatrix<T>& a, double pivot_tol) {
-  factorize(a, pivot_tol, nullptr, nullptr);
+  if (takes_reach(a))
+    factorize_reach(a, pivot_tol, nullptr, nullptr);
+  else
+    factorize(a, pivot_tol, nullptr, nullptr);
 }
 
 template <typename T>
 SparseLu<T>::SparseLu(const CscMatrix<T>& a, SparseLuSymbolic<T>& sym_out, double pivot_tol) {
-  factorize(a, pivot_tol, nullptr, &sym_out);
+  if (takes_reach(a))
+    factorize_reach(a, pivot_tol, nullptr, &sym_out);
+  else
+    factorize(a, pivot_tol, nullptr, &sym_out);
 }
 
 template <typename T>
@@ -168,6 +174,7 @@ bool SparseLu<T>::refactor_from(const SparseLuSymbolic<T>& sym, const CscMatrix<
     n_ = 0;
     return false;
   }
+  if (takes_reach(a)) return factorize_reach(a, pivot_tol, &sym, repair, repaired);
   return factorize(a, pivot_tol, &sym, repair, repaired);
 }
 
@@ -177,9 +184,10 @@ bool SparseLu<T>::refactor_from(const SparseLuSymbolic<T>& sym, const CscMatrix<
 // pivot row.
 //
 // Analyze mode (sym == nullptr): the per-column update loop scans all
-// previous columns, which is O(n^2) in symbolic terms but with O(1) work per
-// empty hit — entirely adequate for the <= few-thousand-unknown systems this
-// project builds, and straightforward to reason about.
+// previous columns: O(j) probes per column that each cost almost nothing.
+// That is the cheapest way for the systems this loop gets, small or block
+// dense (takes_reach() sends large sparse ones to factorize_reach() in
+// sparse_reach.cpp, whose reach visits the same updates in the same order).
 //
 // Replay mode (sym != nullptr): the scan is restricted to the symbolic
 // update lists. Those lists are a structural superset of the updates any

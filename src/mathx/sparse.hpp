@@ -167,6 +167,10 @@ class TripletCscMap {
 template <typename T>
 class SparseLu;
 
+/// Read access to the internals of SparseLuSymbolic and SparseLu for the
+/// kernel's own oracle tests; defined only in tests/mathx.
+struct SparseLuTestAccess;
+
 /// Output of the analyze phase: the pinned pivot sequence plus the
 /// structural elimination pattern (which earlier columns can update each
 /// column, closed over structure alone, not the values seen at analysis
@@ -192,6 +196,7 @@ class SparseLuSymbolic {
 
  private:
   friend class SparseLu<T>;
+  friend struct SparseLuTestAccess;
   std::size_t n_ = 0;
   std::vector<std::size_t> perm_;      // elimination step -> pinned pivot row
   std::vector<std::size_t> perm_inv_;  // original row -> elimination step
@@ -261,6 +266,8 @@ class SparseLu {
   std::vector<T> solve_transposed(const std::vector<T>& b) const;
 
  private:
+  friend struct SparseLuTestAccess;
+
   // Shared elimination core: factor `a`, choosing pivots by partial
   // pivoting. When `sym` is non-null, verify each chosen pivot against the
   // pinned sequence and restrict the per-column update scan to the symbolic
@@ -272,6 +279,28 @@ class SparseLu {
   // whether the repair path ran.
   bool factorize(const CscMatrix<T>& a, double pivot_tol, const SparseLuSymbolic<T>* sym,
                  SparseLuSymbolic<T>* sym_out, bool* drifted = nullptr);
+
+  // factorize() for large sparse systems (sparse_reach.cpp): the same
+  // contract and byte-identical results, with analyze-mode columns taking
+  // the Gilbert–Peierls reach instead of scanning every earlier step.
+  bool factorize_reach(const CscMatrix<T>& a, double pivot_tol, const SparseLuSymbolic<T>* sym,
+                       SparseLuSymbolic<T>* sym_out, bool* drifted = nullptr);
+
+  // Scan or reach, for column j of an analyze-mode factorization whose
+  // previous column touched `work` rows. The scan probes all j earlier
+  // steps at about a nanosecond each; the reach walks roughly as many L
+  // entries as the column's updates scatter and then sorts what it found,
+  // several times the per-entry cost.
+  static bool reach_is_cheaper(std::size_t j, std::size_t work) { return 8 * (work + 8) < j; }
+
+  // Per matrix: does `a`'s last column, with A's mean column count as its
+  // work, take the reach? Small systems (the n = 18 mixer Jacobians) and
+  // block-dense ones (harmonic conversion matrices, whose reach is nearly
+  // every earlier column) do not and stay on factorize().
+  static bool takes_reach(const CscMatrix<T>& a) {
+    const std::size_t n = a.cols();
+    return n > 0 && reach_is_cheaper(n, a.nnz() / n);
+  }
 
   std::size_t n_ = 0;
   // L is unit-diagonal; stored without the diagonal. U includes diagonal.

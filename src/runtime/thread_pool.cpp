@@ -1,5 +1,7 @@
 #include "runtime/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -145,6 +147,14 @@ int ThreadPool::configured_threads() {
     char* end = nullptr;
     const long v = std::strtol(env, &end, 10);
     if (end != env && *end == '\0') return static_cast<int>(std::clamp<long>(v, 1, 512));
+  }
+  // The affinity mask, not the machine: a process pinned with taskset or a
+  // cpuset gets one lane per CPU it may run on, not one per CPU installed.
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int allowed = CPU_COUNT(&mask);
+    if (allowed > 0) return std::min(allowed, 512);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

@@ -46,8 +46,8 @@ class ThreadPool {
   /// no workers the job runs inline before submit returns.
   void submit(std::function<void()> job);
 
-  /// The process-wide pool, sized from RFMIX_THREADS or, when unset,
-  /// std::thread::hardware_concurrency(). Built on first use.
+  /// The process-wide pool, sized from RFMIX_THREADS or, when unset, the
+  /// number of CPUs in the process's affinity mask. Built on first use.
   static ThreadPool& global();
 
   /// The pool parallel_for uses by default: the innermost ScopedPool

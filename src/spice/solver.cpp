@@ -16,6 +16,7 @@ const mathx::SparseLu<double>& SolverSession::factor(const mathx::TripletMatrix<
   if (mode_ == SolverMode::kClassic) {
     RFMIX_OBS_COUNT("spice.lu.analyze");
     csc_ = mathx::CscMatrix<double>(g);
+    RFMIX_OBS_SCOPED_TIMER("spice.lu.analyze");
     lu_ = mathx::SparseLu<double>(csc_);
     return lu_;
   }
@@ -45,6 +46,10 @@ const mathx::SparseLu<double>& SolverSession::factor(const mathx::TripletMatrix<
     RFMIX_OBS_COUNT("spice.lu.fallback");
   }
   RFMIX_OBS_COUNT("spice.lu.analyze");
+  // Timed only here and in classic mode, where a fresh analysis runs: a
+  // small-system refactor takes about a microsecond, so a clock read on
+  // that path would cost more than it reports.
+  RFMIX_OBS_SCOPED_TIMER("spice.lu.analyze");
   lu_ = mathx::SparseLu<double>(csc_, sym_);
   have_sym_ = true;
   return lu_;

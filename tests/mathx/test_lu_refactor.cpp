@@ -8,10 +8,43 @@
 #include <cstring>
 #include <gtest/gtest.h>
 
+#include "gen/templates.hpp"
 #include "mathx/lu.hpp"
 #include "mathx/rng.hpp"
+#include "spice/circuit.hpp"
+#include "spice/mna.hpp"
+#include "spice/op.hpp"
+#include "spice/parser.hpp"
 
 namespace rfmix::mathx {
+
+struct SparseLuTestAccess {
+  static const std::vector<std::size_t>& upd_ptr(const SparseLuSymbolic<double>& s) {
+    return s.upd_ptr_;
+  }
+  static const std::vector<std::size_t>& upd_step(const SparseLuSymbolic<double>& s) {
+    return s.upd_step_;
+  }
+  static const std::vector<std::size_t>& perm(const SparseLuSymbolic<double>& s) {
+    return s.perm_;
+  }
+  static const std::vector<std::size_t>& perm_inv(const SparseLuSymbolic<double>& s) {
+    return s.perm_inv_;
+  }
+
+  /// Byte equality of every stored factor array.
+  static bool same_factors(const SparseLu<double>& a, const SparseLu<double>& b) {
+    auto bits = [](const std::vector<double>& x, const std::vector<double>& y) {
+      return x.size() == y.size() &&
+             (x.empty() || std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
+    };
+    return a.n_ == b.n_ && a.perm_ == b.perm_ && a.perm_inv_ == b.perm_inv_ &&
+           a.l_col_ptr_ == b.l_col_ptr_ && a.l_row_idx_ == b.l_row_idx_ &&
+           bits(a.l_values_, b.l_values_) && a.u_col_ptr_ == b.u_col_ptr_ &&
+           a.u_row_idx_ == b.u_row_idx_ && bits(a.u_values_, b.u_values_);
+  }
+};
+
 namespace {
 
 /// Bitwise equality of two double vectors (0.0 vs -0.0 and NaN payloads
@@ -360,6 +393,205 @@ TEST(SparseLuRefactorTest, FuzzRefactorAgainstAnalyze) {
   // have taken the fast path; a refactor that never engages would make this
   // whole suite vacuous.
   EXPECT_GT(refactors, 100);
+}
+
+// ---------------------------------------------------------------------------
+// Reach-path oracle. Analyze mode finds each column's updates by the
+// Gilbert–Peierls reach on large sparse systems and by scanning every
+// earlier step on small or dense ones. The reference below is the full-scan
+// structural closure, kept verbatim here: the symbolic the kernel exports
+// must equal it list for list, and the matrices are large and sparse enough
+// that the kernel takes the reach path.
+// ---------------------------------------------------------------------------
+
+struct ReferenceSymbolic {
+  std::vector<std::size_t> upd_ptr, upd_step;
+  std::size_t l_capacity = 0, u_capacity = 0;
+};
+
+/// O(n^2) structure-only closure under a pinned permutation.
+ReferenceSymbolic full_scan_closure(const CscMatrix<double>& a,
+                                    const std::vector<std::size_t>& perm,
+                                    const std::vector<std::size_t>& perm_inv) {
+  const std::size_t n = a.cols();
+  const auto& acp = a.col_ptr();
+  const auto& ari = a.row_idx();
+  ReferenceSymbolic s;
+  s.upd_ptr.assign(n + 1, 0);
+  std::vector<std::size_t> sl_col_ptr(n + 1, 0);
+  std::vector<std::size_t> sl_row_idx;
+  std::vector<char> occ(n, 0);
+  std::vector<std::size_t> pat;
+  for (std::size_t j = 0; j < n; ++j) {
+    pat.clear();
+    auto touch = [&](std::size_t row) {
+      if (!occ[row]) {
+        occ[row] = 1;
+        pat.push_back(row);
+      }
+    };
+    for (std::size_t p = acp[j]; p < acp[j + 1]; ++p) touch(ari[p]);
+    for (std::size_t k = 0; k < j; ++k) {
+      if (!occ[perm[k]]) continue;
+      s.upd_step.push_back(k);
+      for (std::size_t p = sl_col_ptr[k]; p < sl_col_ptr[k + 1]; ++p) touch(sl_row_idx[p]);
+    }
+    s.upd_ptr[j + 1] = s.upd_step.size();
+    for (const std::size_t r : pat) {
+      if (perm_inv[r] > j) sl_row_idx.push_back(r);
+      occ[r] = 0;
+    }
+    sl_col_ptr[j + 1] = sl_row_idx.size();
+  }
+  s.l_capacity = sl_row_idx.size();
+  s.u_capacity = s.upd_step.size() + n;
+  return s;
+}
+
+/// The exported symbolic equals the full-scan closure of `a` under the
+/// symbolic's own pivot order.
+void expect_matches_full_scan(const CscMatrix<double>& a, const SparseLuSymbolic<double>& sym,
+                              const std::string& what) {
+  using A = SparseLuTestAccess;
+  const auto& perm = A::perm(sym);
+  const auto& perm_inv = A::perm_inv(sym);
+  ASSERT_EQ(perm.size(), a.cols()) << what;
+  for (std::size_t k = 0; k < perm.size(); ++k) ASSERT_EQ(perm_inv[perm[k]], k) << what;
+  const ReferenceSymbolic ref = full_scan_closure(a, perm, perm_inv);
+  EXPECT_EQ(A::upd_ptr(sym), ref.upd_ptr) << what;
+  EXPECT_EQ(A::upd_step(sym), ref.upd_step) << what;
+  EXPECT_EQ(sym.l_capacity(), ref.l_capacity) << what;
+  EXPECT_EQ(sym.u_capacity(), ref.u_capacity) << what;
+}
+
+/// The Jacobian of a generated rx_array at its DC operating point.
+CscMatrix<double> rx_array_jacobian(int elements) {
+  gen::GenSpec spec;
+  spec.template_id = "rx_array";
+  spec.elements = elements;
+  spec.paths = 4;
+  spec.sections = 6;
+  spec.zbb_c = 2e-12;
+  spec.mismatch = 0.05;
+  spec.seed = 1;
+  spice::Circuit ckt = spice::parse_netlist(gen::render_netlist(spec));
+  const spice::Solution x = spice::dc_operating_point(ckt);
+  const std::size_t n = static_cast<std::size_t>(ckt.layout().size());
+  TripletMatrix<double> g(n, n);
+  VectorD b(n, 0.0);
+  spice::StampParams sp;
+  sp.mode = spice::AnalysisMode::kDc;
+  spice::assemble_real(ckt, x, sp, spice::NewtonOptions{}.gmin, g, b);
+  return CscMatrix<double>(g);
+}
+
+/// A large banded system with a few long-range couplings, shaped like an
+/// MNA matrix: bounded fill, so analyze takes the reach path. `zeros` of
+/// the off-diagonal stamps are exactly 0.0, which drops them from the
+/// numeric L and exercises the value-dependent skips; `weak_from` is the
+/// first column whose diagonal no longer dominates (pivots may drift
+/// there).
+TripletMatrix<double> banded_system(Rng& rng, std::size_t n, double zeros,
+                                    std::size_t weak_from) {
+  TripletMatrix<double> t(n, n);
+  for (std::size_t c = 0; c < n; ++c) {
+    t.add(c, c, c < weak_from ? 8.0 + rng.uniform() : rng.uniform(0.2, 1.2));
+    for (int e = 0; e < 3; ++e) {
+      const std::size_t off = 1 + rng.next_u64() % 6;
+      const std::size_t r = rng.uniform() < 0.5 ? (c >= off ? c - off : c + off)
+                                                : std::min(n - 1, c + off);
+      t.add(r, c, rng.uniform() < zeros ? 0.0 : rng.uniform(-1.0, 1.0));
+    }
+    if (rng.uniform() < 0.02) t.add(rng.next_u64() % n, c, rng.uniform(-0.5, 0.5));
+  }
+  return t;
+}
+
+/// New values on the entry sequence of `t`, no exact zeros, diagonals as
+/// dominant as banded_system() made them up to `weak_from`.
+TripletMatrix<double> revalue_banded(Rng& rng, const TripletMatrix<double>& t,
+                                     std::size_t weak_from) {
+  TripletMatrix<double> out(t.rows(), t.cols());
+  for (std::size_t k = 0; k < t.entry_count(); ++k) {
+    const std::size_t r = t.row_indices()[k], c = t.col_indices()[k];
+    const double v = r != c ? rng.uniform(-1.0, 1.0)
+                            : (c < weak_from ? 8.0 + rng.uniform() : rng.uniform(0.2, 1.2));
+    out.add(r, c, v);
+  }
+  return out;
+}
+
+TEST(SparseLuReachTest, RxArrayJacobianMatchesFullScan) {
+  const CscMatrix<double> a = rx_array_jacobian(256);
+  ASSERT_EQ(a.cols(), 7936u);
+  SparseLuSymbolic<double> sym;
+  const SparseLu<double> analyzed(a, sym);
+  expect_matches_full_scan(a, sym, "rx_array 256");
+  SparseLu<double> replayed;
+  ASSERT_TRUE(replayed.refactor_from(sym, a));
+  EXPECT_TRUE(SparseLuTestAccess::same_factors(analyzed, replayed));
+  EXPECT_TRUE(SparseLuTestAccess::same_factors(analyzed, SparseLu<double>(a)));
+}
+
+TEST(SparseLuReachTest, FuzzLargeSparseAgainstFullScan) {
+  Rng rng(0x6E11);
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::size_t n = 400 + rng.next_u64() % 1200;
+    const auto t0 = banded_system(rng, n, 0.15, n);
+    const CscMatrix<double> a0(t0);
+    SparseLuSymbolic<double> sym;
+    const SparseLu<double> analyzed(a0, sym);
+    const std::string what = "trial " + std::to_string(trial) + " n=" + std::to_string(n);
+    expect_matches_full_scan(a0, sym, what);
+    SparseLu<double> lu;
+    ASSERT_TRUE(lu.refactor_from(sym, a0)) << what;
+    EXPECT_TRUE(SparseLuTestAccess::same_factors(analyzed, lu)) << what;
+
+    // Values where the analyzed matrix had exact zeros: updates the numeric
+    // L skipped now fire, and only the structural closure has them.
+    TripletCscMap<double> map;
+    map.build(t0);
+    for (int step = 0; step < 3; ++step) {
+      CscMatrix<double> a;
+      map.fill(revalue_banded(rng, t0, n), a);
+      ASSERT_TRUE(lu.refactor_from(sym, a)) << what << " step " << step;
+      EXPECT_TRUE(SparseLuTestAccess::same_factors(lu, SparseLu<double>(a)))
+          << what << " step " << step;
+    }
+  }
+}
+
+TEST(SparseLuReachTest, FuzzLargeSparseDriftRepairAgainstFullScan) {
+  // Dominant diagonals in the first half pin those pivots; weak ones in
+  // the second half drift, so repair switches to analyze mode deep into the
+  // matrix and reaches through the L the replay built.
+  Rng rng(0xD21F7);
+  int repairs = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::size_t n = 400 + rng.next_u64() % 1200;
+    const std::size_t weak_from = n / 2;
+    const auto t0 = banded_system(rng, n, 0.1, weak_from);
+    // One factor object throughout, analyzed first, as SolverSession keeps
+    // it: a repair must not trip over the reach state of an earlier call.
+    SparseLuSymbolic<double> sym;
+    SparseLu<double> lu(CscMatrix<double>(t0), sym);
+    TripletCscMap<double> map;
+    map.build(t0);
+    for (int step = 0; step < 3; ++step) {
+      const std::string what = "trial " + std::to_string(trial) + " step " +
+                               std::to_string(step) + " n=" + std::to_string(n);
+      CscMatrix<double> a;
+      map.fill(revalue_banded(rng, t0, weak_from), a);
+      bool repaired = false;
+      ASSERT_TRUE(lu.refactor_from(sym, a, 0.0, &sym, &repaired)) << what;
+      EXPECT_TRUE(SparseLuTestAccess::same_factors(lu, SparseLu<double>(a))) << what;
+      if (repaired) {
+        ++repairs;
+        expect_matches_full_scan(a, sym, what);
+      }
+    }
+  }
+  EXPECT_GT(repairs, 10) << "weak diagonals should have drifted often";
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 #include "runtime/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -193,6 +195,30 @@ TEST(ThreadPool, ConfiguredThreadsHonorsEnv) {
     ::setenv("RFMIX_THREADS", saved.c_str(), 1);
   else
     ::unsetenv("RFMIX_THREADS");
+}
+
+TEST(ThreadPool, ConfiguredThreadsFollowsAffinityMask) {
+  // Narrow this thread's own affinity mask to one CPU it may already run
+  // on: without RFMIX_THREADS the pool must size itself to that one CPU,
+  // not to every CPU installed.
+  const char* old = std::getenv("RFMIX_THREADS");
+  const std::string saved = old ? old : "";
+  ::unsetenv("RFMIX_THREADS");
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(original), &original), 0);
+  int first = -1;
+  for (int c = 0; c < CPU_SETSIZE && first < 0; ++c)
+    if (CPU_ISSET(c, &original)) first = c;
+  ASSERT_GE(first, 0);
+  EXPECT_EQ(ThreadPool::configured_threads(), std::min(CPU_COUNT(&original), 512));
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof(one), &one), 0);
+  EXPECT_EQ(ThreadPool::configured_threads(), 1);
+  EXPECT_EQ(::sched_setaffinity(0, sizeof(original), &original), 0);
+  if (old) ::setenv("RFMIX_THREADS", saved.c_str(), 1);
 }
 
 }  // namespace

@@ -163,6 +163,35 @@ TEST(SolverParity, ClassicModeNeverRefactors) {
   EXPECT_GT(obs::counter_value("spice.lu.factorizations"), fact0);
 }
 
+// The analyze stage has a timer as well as a counter of the same name: the
+// timer covers fresh analyses only, never a refactor, and the snapshot keeps
+// the two instruments apart.
+TEST(SolverParity, AnalyzeTimerCoversFreshAnalysesOnly) {
+  ScopedSolverMode scoped(SolverMode::kReuse);
+  auto timer_calls = [] {
+    for (const obs::TimerSnapshot& t : obs::snapshot().timers)
+      if (t.name == "spice.lu.analyze") return t.calls;
+    return std::uint64_t{0};
+  };
+  mathx::TripletMatrix<double> g(3, 3);
+  g.add(0, 0, 4.0);
+  g.add(1, 0, 1.0);
+  g.add(1, 1, 3.0);
+  g.add(2, 1, -1.0);
+  g.add(2, 2, 2.0);
+  const std::uint64_t calls0 = timer_calls();
+  const std::uint64_t analyze0 = obs::counter_value("spice.lu.analyze");
+  const std::uint64_t refactor0 = obs::counter_value("spice.lu.refactor");
+  SolverSession session;
+  (void)session.factor(g);  // first factorization: a fresh analysis
+  EXPECT_EQ(timer_calls(), calls0 + 1);
+  (void)session.factor(g);  // same pattern and pivots: a refactor
+  (void)session.factor(g);
+  EXPECT_EQ(obs::counter_value("spice.lu.refactor"), refactor0 + 2);
+  EXPECT_EQ(obs::counter_value("spice.lu.analyze"), analyze0 + 1);
+  EXPECT_EQ(timer_calls(), calls0 + 1) << "a refactor was timed";
+}
+
 #endif  // RFMIX_OBS_ENABLED
 
 // AC and noise sweep the same factor-once machinery; their complex-valued
