@@ -13,8 +13,8 @@
 // quadratic in the unknown count).
 //
 // --smoke runs only the largest size against a wall-clock budget
-// (--budget-ms, default 60000) and, with --max-solve-ms, a bound on that
-// size's solve time: the CI Release lane's 100k-device regression tripwire.
+// (--budget-ms, default 60000) and bounds that size's solve at 1 s: the CI
+// Release lane's 100k-device regression tripwire.
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -88,13 +88,10 @@ int main(int argc, char** argv) {
 
   bool smoke = false;
   double budget_ms = 60000.0;
-  double max_solve_ms = 0.0;  // 0: no bound on the largest size's solve
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--budget-ms") == 0 && i + 1 < argc)
       budget_ms = std::stod(argv[i + 1]);
-    if (std::strcmp(argv[i], "--max-solve-ms") == 0 && i + 1 < argc)
-      max_solve_ms = std::stod(argv[i + 1]);
   }
 
   if (!cli.csv())
@@ -148,7 +145,6 @@ int main(int argc, char** argv) {
 
   cli.set_config("smoke", smoke ? 1.0 : 0.0);
   cli.set_config("budget_ms", budget_ms);
-  cli.set_config("max_solve_ms", max_solve_ms);
   cli.add_metric("devices_max", double(big.devices));
   cli.add_metric("render_ms", big.render_ms);
   cli.add_metric("elaborate_ms", big.elaborate_ms);
@@ -169,9 +165,11 @@ int main(int argc, char** argv) {
     cli.finish();
     return 1;
   }
-  if (max_solve_ms > 0.0 && big.solve_ms > max_solve_ms) {
-    out << "GEN-SCALE FAILED: " << big.solve_ms << " ms op-point solve exceeds "
-        << max_solve_ms << " ms\n";
+  // The 118k-device op point solves in about 0.1 s on a 4-vCPU 2.1 GHz
+  // host; a quadratic LU analyze takes over 6 s. 1 s leaves room for a
+  // loaded shared host and still catches the quadratic one.
+  if (smoke && big.solve_ms > 1000.0) {
+    out << "GEN-SCALE FAILED: " << big.solve_ms << " ms op-point solve exceeds 1000 ms\n";
     cli.finish();
     return 1;
   }

@@ -152,7 +152,7 @@ void TripletCscMap<T>::fill(const TripletMatrix<T>& t, CscMatrix<T>& csc) const 
 template <typename T>
 SparseLu<T>::SparseLu(const CscMatrix<T>& a, double pivot_tol) {
   if (takes_reach(a))
-    factorize_reach(a, pivot_tol, nullptr, nullptr);
+    analyze_reach(a, pivot_tol, nullptr);
   else
     factorize(a, pivot_tol, nullptr, nullptr);
 }
@@ -160,7 +160,7 @@ SparseLu<T>::SparseLu(const CscMatrix<T>& a, double pivot_tol) {
 template <typename T>
 SparseLu<T>::SparseLu(const CscMatrix<T>& a, SparseLuSymbolic<T>& sym_out, double pivot_tol) {
   if (takes_reach(a))
-    factorize_reach(a, pivot_tol, nullptr, &sym_out);
+    analyze_reach(a, pivot_tol, &sym_out);
   else
     factorize(a, pivot_tol, nullptr, &sym_out);
 }
@@ -174,8 +174,15 @@ bool SparseLu<T>::refactor_from(const SparseLuSymbolic<T>& sym, const CscMatrix<
     n_ = 0;
     return false;
   }
-  if (takes_reach(a)) return factorize_reach(a, pivot_tol, &sym, repair, repaired);
-  return factorize(a, pivot_tol, &sym, repair, repaired);
+  if (!takes_reach(a)) return factorize(a, pivot_tol, &sym, repair, repaired);
+  // Large sparse systems replay strictly: factorize()'s repair would finish
+  // in scan mode. A drift repair equals a fresh analysis (see factorize()),
+  // so re-analyze by reach instead.
+  if (factorize(a, pivot_tol, &sym, nullptr)) return true;
+  if (!repair) return false;
+  analyze_reach(a, pivot_tol, repair);
+  if (repaired) *repaired = true;
+  return true;
 }
 
 // Left-looking column LU with partial pivoting, using a dense work column in
@@ -186,7 +193,7 @@ bool SparseLu<T>::refactor_from(const SparseLuSymbolic<T>& sym, const CscMatrix<
 // Analyze mode (sym == nullptr): the per-column update loop scans all
 // previous columns: O(j) probes per column that each cost almost nothing.
 // That is the cheapest way for the systems this loop gets, small or block
-// dense (takes_reach() sends large sparse ones to factorize_reach() in
+// dense (takes_reach() sends large sparse ones to analyze_reach() in
 // sparse_reach.cpp, whose reach visits the same updates in the same order).
 //
 // Replay mode (sym != nullptr): the scan is restricted to the symbolic

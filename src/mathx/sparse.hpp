@@ -249,7 +249,9 @@ class SparseLu {
   /// adopts the freshly scanned pivot, continues in analyze mode, and
   /// rewrites *repair with the new pivot sequence — producing factors
   /// byte-identical to SparseLu(a, pivot_tol) without restarting from
-  /// column zero. `repair` may alias `sym` (it is only written after the
+  /// column zero. (Large sparse systems, whose scan-mode columns would cost
+  /// more than a whole reach analysis, do restart: the drifted replay is
+  /// dropped and a fresh analysis writes the same bytes.) `repair` may alias `sym` (it is only written after the
   /// last read, on complete success); it must NOT be a symbolic shared
   /// with concurrent readers. A singular pivot at the drift column throws
   /// SingularMatrixError, matching the analyzing constructors. `repaired`,
@@ -280,26 +282,24 @@ class SparseLu {
   bool factorize(const CscMatrix<T>& a, double pivot_tol, const SparseLuSymbolic<T>* sym,
                  SparseLuSymbolic<T>* sym_out, bool* drifted = nullptr);
 
-  // factorize() for large sparse systems (sparse_reach.cpp): the same
-  // contract and byte-identical results, with analyze-mode columns taking
-  // the Gilbert–Peierls reach instead of scanning every earlier step.
-  bool factorize_reach(const CscMatrix<T>& a, double pivot_tol, const SparseLuSymbolic<T>* sym,
-                       SparseLuSymbolic<T>* sym_out, bool* drifted = nullptr);
+  // Analyze mode of factorize() for large sparse systems (sparse_reach.cpp):
+  // byte-identical factors and symbolic, with each column taking the
+  // Gilbert–Peierls reach instead of scanning every earlier step. Their
+  // replays run factorize(); a drifted replay re-analyzes here.
+  void analyze_reach(const CscMatrix<T>& a, double pivot_tol, SparseLuSymbolic<T>* sym_out);
 
-  // Scan or reach, for column j of an analyze-mode factorization whose
-  // previous column touched `work` rows. The scan probes all j earlier
-  // steps at about a nanosecond each; the reach walks roughly as many L
-  // entries as the column's updates scatter and then sorts what it found,
-  // several times the per-entry cost.
-  static bool reach_is_cheaper(std::size_t j, std::size_t work) { return 8 * (work + 8) < j; }
-
-  // Per matrix: does `a`'s last column, with A's mean column count as its
-  // work, take the reach? Small systems (the n = 18 mixer Jacobians) and
+  // Does `a` analyze by reach? The scan probes all j earlier steps of
+  // column j at about a nanosecond each; the reach costs several times that
+  // per L entry its updates scatter, and per column they scatter about A's
+  // mean column count. Small systems (the n = 18 mixer Jacobians) and
   // block-dense ones (harmonic conversion matrices, whose reach is nearly
-  // every earlier column) do not and stay on factorize().
+  // every earlier column) keep the scan. Measured reach/scan analyze time
+  // (Release, one binary): rx_array Jacobians (mean column count 4.9)
+  // 1.31 at n = 31, 1.06 at n = 62, 0.74 at n = 124, 0.11 at n = 1984;
+  // mixer n = 18 1.19; harmonic systems K = 1, 2, 6 (n = 54-234) 2.2-2.4.
   static bool takes_reach(const CscMatrix<T>& a) {
     const std::size_t n = a.cols();
-    return n > 0 && reach_is_cheaper(n, a.nnz() / n);
+    return n > 0 && 8 * (a.nnz() / n + 8) < n;
   }
 
   std::size_t n_ = 0;

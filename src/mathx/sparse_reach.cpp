@@ -1,10 +1,11 @@
-// SparseLu's column loop for large sparse systems (generated arrays): the
-// left-looking loop of sparse.cpp, with analyze-mode columns taking the
-// Gilbert–Peierls reach where it is cheaper than the scan, in the numeric
-// pass and in the structural closure. takes_reach() sends a system here.
+// SparseLu's analyze mode for large sparse systems (generated arrays): the
+// left-looking loop of sparse.cpp, with every column taking the
+// Gilbert–Peierls reach instead of scanning all earlier steps, in the
+// numeric pass and in the structural closure. takes_reach() sends a system
+// here; its replays run sparse.cpp's factorize().
 //
-// A second copy of the loop, in a file of its own, on purpose: the reach
-// folded into sparse.cpp's loop, whether as a branch or as a second
+// A second copy of the analyze loop, in a file of its own, on purpose: the
+// reach folded into sparse.cpp's loop, whether as a branch or as a second
 // template instantiation there, slowed the small and block-dense systems
 // that loop serves (n = 18 mixer refactor 10-30%, n = 234 complex refactor
 // about 2x) through GCC's inlining and code-layout decisions. Both loops
@@ -52,16 +53,13 @@ void reach_ascending(std::size_t j, const std::size_t* first, const std::size_t*
 }  // namespace
 
 template <typename T>
-bool SparseLu<T>::factorize_reach(const CscMatrix<T>& a, double pivot_tol,
-                                  const SparseLuSymbolic<T>* sym, SparseLuSymbolic<T>* sym_out,
-                                  bool* drifted) {
+void SparseLu<T>::analyze_reach(const CscMatrix<T>& a, double pivot_tol,
+                                SparseLuSymbolic<T>* sym_out) {
   if (a.rows() != a.cols()) throw std::invalid_argument("SparseLu requires square matrix");
-  // The reached steps, ascending, and per step the last column that
-  // reached it (sized on first use).
-  std::vector<std::size_t> reach, mark;
-  const bool replay = sym != nullptr;
-  bool drift_repaired = false;
   const std::size_t n = a.rows();
+  // The reached steps, ascending, and per step the last column that
+  // reached it.
+  std::vector<std::size_t> reach, mark(n, kNoStep);
   n_ = n;
   l_col_ptr_.assign(n + 1, 0);
   u_col_ptr_.assign(n + 1, 0);
@@ -71,12 +69,6 @@ bool SparseLu<T>::factorize_reach(const CscMatrix<T>& a, double pivot_tol,
   u_values_.clear();
   perm_.assign(n, static_cast<std::size_t>(-1));
   perm_inv_.assign(n, static_cast<std::size_t>(-1));
-  if (sym) {
-    l_row_idx_.reserve(sym->l_capacity_);
-    l_values_.reserve(sym->l_capacity_);
-    u_row_idx_.reserve(sym->u_capacity_);
-    u_values_.reserve(sym->u_capacity_);
-  }
 
   work_.assign(n, T{});      // dense column, original row coords
   occupied_.assign(n, 0);    // nonzero-pattern flags for `work_`
@@ -109,23 +101,12 @@ bool SparseLu<T>::factorize_reach(const CscMatrix<T>& a, double pivot_tol,
     pattern_.clear();
     for (std::size_t p = acp[j]; p < acp[j + 1]; ++p) scatter(ari[p], av[p]);
 
-    // Apply updates from previous elimination steps in ascending order.
-    if (sym) {
-      for (std::size_t q = sym->upd_ptr_[j]; q < sym->upd_ptr_[j + 1]; ++q)
-        apply_update(sym->upd_step_[q]);
-    } else if (reach_is_cheaper(j, j == 0 ? 0
-                                          : (u_col_ptr_[j] - u_col_ptr_[j - 1]) +
-                                                (l_col_ptr_[j] - l_col_ptr_[j - 1]))) {
-      // The previous column's stored U and L entries stand in for the rows
-      // it touched (exact zeros are not stored, which only biases toward
-      // the scan).
-      if (mark.empty()) mark.assign(n, kNoStep);
-      reach_ascending(j, ari.data() + acp[j], ari.data() + acp[j + 1], l_col_ptr_, l_row_idx_,
-                      perm_inv_, mark, reach);
-      for (const std::size_t k : reach) apply_update(k);
-    } else {
-      for (std::size_t k = 0; k < j; ++k) apply_update(k);
-    }
+    // Apply updates from previous elimination steps in ascending order: the
+    // reach holds every step the full scan would apply, and the skips in
+    // apply_update drop the rest exactly as they do for the scan.
+    reach_ascending(j, ari.data() + acp[j], ari.data() + acp[j + 1], l_col_ptr_, l_row_idx_,
+                    perm_inv_, mark, reach);
+    for (const std::size_t k : reach) apply_update(k);
 
     // Choose pivot among rows not yet pivoted.
     std::size_t piv_row = static_cast<std::size_t>(-1);
@@ -138,32 +119,7 @@ bool SparseLu<T>::factorize_reach(const CscMatrix<T>& a, double pivot_tol,
         piv_row = r;
       }
     }
-    if (sym) {
-      if (piv_row != sym->perm_[j]) {
-        if (sym_out) {
-          // Drift repair: everything eliminated so far is identical to a
-          // fresh analysis (the restricted scan visits exactly the updates
-          // a full scan would; the pivot scan above is the analyze-mode
-          // scan), so adopt the freshly scanned pivot and continue in
-          // analyze mode — the remaining columns can no longer trust the
-          // old symbolic's update lists.
-          if (piv_row == static_cast<std::size_t>(-1)) throw SingularMatrixError(j);
-          drift_repaired = true;
-          sym = nullptr;
-        } else {
-          // Strict replay: abort so the caller re-analyzes (keeping the
-          // analyze path the only source of pivot decisions).
-          for (const std::size_t r : pattern_) {
-            work_[r] = T{};
-            occupied_[r] = 0;
-          }
-          n_ = 0;
-          return false;
-        }
-      }
-    } else if (piv_row == static_cast<std::size_t>(-1)) {
-      throw SingularMatrixError(j);
-    }
+    if (piv_row == static_cast<std::size_t>(-1)) throw SingularMatrixError(j);
     const T piv_val = work_[piv_row];
 
     // Emit U column j: previously pivoted rows, ordered by elimination step,
@@ -200,80 +156,57 @@ bool SparseLu<T>::factorize_reach(const CscMatrix<T>& a, double pivot_tol,
       occupied_[r] = 0;
     }
   }
+  if (!sym_out) return;
 
-  // Structure-only closure under the now-pinned permutation. The numeric
-  // factors above drop entries that are exactly zero at the analyzed values;
-  // a symbolic built from them could miss updates that become nonzero at
-  // other values. This pass re-runs the reachability with every structural
-  // entry treated as nonzero, so the update lists cover any value
-  // assignment with this pattern.
-  // In replay mode the caller's symbolic is only rewritten when a drift
-  // actually invalidated it — a clean replay leaves it untouched (it may
-  // alias `sym`; all reads of `sym` happened in the column loop above).
-  if (sym_out && (!replay || drift_repaired)) {
-    SparseLuSymbolic<T>& s = *sym_out;
-    s.n_ = n;
-    s.perm_ = perm_;
-    s.perm_inv_ = perm_inv_;
-    s.pat_col_ptr_ = acp;
-    s.pat_row_idx_ = ari;
-    s.upd_ptr_.assign(n + 1, 0);
-    s.upd_step_.clear();
-    s.l_capacity_ = 0;
-    s.u_capacity_ = 0;
+  // Structure-only closure under the now-pinned permutation, as in
+  // factorize(): the same reachability with every structural entry treated
+  // as nonzero, so the update lists cover any value assignment with this
+  // pattern. The structural L (sl_*) lives only for this pass.
+  SparseLuSymbolic<T>& s = *sym_out;
+  s.n_ = n;
+  s.perm_ = perm_;
+  s.perm_inv_ = perm_inv_;
+  s.pat_col_ptr_ = acp;
+  s.pat_row_idx_ = ari;
+  s.upd_ptr_.assign(n + 1, 0);
+  s.upd_step_.clear();
 
-    // The structural L (sl_*) lives only for this pass. The same
-    // scan-or-reach choice per column as the numeric pass, over the
-    // structural L.
-    std::vector<std::size_t> sl_col_ptr(n + 1, 0);
-    std::vector<std::size_t> sl_row_idx;
-    std::vector<char> occ(n, 0);
-    std::vector<std::size_t> pat;
-    mark.clear();  // it holds the numeric pass's columns
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::size_t prev_work = pat.size();
-      pat.clear();
-      auto touch = [&](std::size_t row) {
-        if (!occ[row]) {
-          occ[row] = 1;
-          pat.push_back(row);
-        }
-      };
-      auto update = [&](std::size_t k) {
-        if (!occ[perm_[k]]) return;
-        s.upd_step_.push_back(k);
-        for (std::size_t p = sl_col_ptr[k]; p < sl_col_ptr[k + 1]; ++p)
-          touch(sl_row_idx[p]);
-      };
-      for (std::size_t p = acp[j]; p < acp[j + 1]; ++p) touch(ari[p]);
-      if (reach_is_cheaper(j, prev_work)) {
-        if (mark.empty()) mark.assign(n, kNoStep);
-        reach_ascending(j, ari.data() + acp[j], ari.data() + acp[j + 1], sl_col_ptr, sl_row_idx,
-                        perm_inv_, mark, reach);
-        for (const std::size_t k : reach) update(k);
-      } else {
-        for (std::size_t k = 0; k < j; ++k) update(k);
+  std::vector<std::size_t> sl_col_ptr(n + 1, 0);
+  std::vector<std::size_t> sl_row_idx;
+  std::vector<char> occ(n, 0);
+  std::vector<std::size_t> pat;
+  mark.assign(n, kNoStep);  // it holds the numeric pass's columns
+  for (std::size_t j = 0; j < n; ++j) {
+    pat.clear();
+    auto touch = [&](std::size_t row) {
+      if (!occ[row]) {
+        occ[row] = 1;
+        pat.push_back(row);
       }
-      s.upd_ptr_[j + 1] = s.upd_step_.size();
-      for (const std::size_t r : pat) {
-        if (perm_inv_[r] > j) sl_row_idx.push_back(r);
-        occ[r] = 0;
-      }
-      sl_col_ptr[j + 1] = sl_row_idx.size();
+    };
+    for (std::size_t p = acp[j]; p < acp[j + 1]; ++p) touch(ari[p]);
+    reach_ascending(j, ari.data() + acp[j], ari.data() + acp[j + 1], sl_col_ptr, sl_row_idx,
+                    perm_inv_, mark, reach);
+    // Every reached step's pivot row is touched by the time it comes up
+    // (by A or by an earlier reached step), so each one is an update.
+    for (const std::size_t k : reach) {
+      s.upd_step_.push_back(k);
+      for (std::size_t p = sl_col_ptr[k]; p < sl_col_ptr[k + 1]; ++p) touch(sl_row_idx[p]);
     }
-    s.l_capacity_ = sl_row_idx.size();
-    s.u_capacity_ = s.upd_step_.size() + n;
+    s.upd_ptr_[j + 1] = s.upd_step_.size();
+    for (const std::size_t r : pat) {
+      if (perm_inv_[r] > j) sl_row_idx.push_back(r);
+      occ[r] = 0;
+    }
+    sl_col_ptr[j + 1] = sl_row_idx.size();
   }
-  if (drifted) *drifted = drift_repaired;
-  return true;
+  s.l_capacity_ = sl_row_idx.size();
+  s.u_capacity_ = s.upd_step_.size() + n;
 }
 
-template bool SparseLu<double>::factorize_reach(const CscMatrix<double>&, double,
-                                                const SparseLuSymbolic<double>*,
-                                                SparseLuSymbolic<double>*, bool*);
-template bool SparseLu<std::complex<double>>::factorize_reach(
-    const CscMatrix<std::complex<double>>&, double,
-    const SparseLuSymbolic<std::complex<double>>*, SparseLuSymbolic<std::complex<double>>*,
-    bool*);
+template void SparseLu<double>::analyze_reach(const CscMatrix<double>&, double,
+                                              SparseLuSymbolic<double>*);
+template void SparseLu<std::complex<double>>::analyze_reach(
+    const CscMatrix<std::complex<double>>&, double, SparseLuSymbolic<std::complex<double>>*);
 
 }  // namespace rfmix::mathx

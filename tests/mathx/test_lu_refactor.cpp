@@ -32,6 +32,31 @@ struct SparseLuTestAccess {
     return s.perm_inv_;
   }
 
+  static bool takes_reach(const CscMatrix<double>& a) { return SparseLu<double>::takes_reach(a); }
+
+  /// Analyze `a` through factorize()'s scan loop, bypassing takes_reach().
+  static void analyze_by_scan(SparseLu<double>& lu, const CscMatrix<double>& a,
+                              SparseLuSymbolic<double>& sym) {
+    lu.factorize(a, 0.0, nullptr, &sym);
+  }
+
+  /// Replay `a` on `sym` through factorize()'s own drift repair (which
+  /// finishes a drifted replay in scan mode), bypassing takes_reach().
+  static bool repair_by_scan(SparseLu<double>& lu, const CscMatrix<double>& a,
+                             SparseLuSymbolic<double>& sym) {
+    bool drifted = false;
+    lu.factorize(a, 0.0, &sym, &sym, &drifted);
+    return drifted;
+  }
+
+  /// Equality of every field of two symbolics.
+  static bool same_symbolic(const SparseLuSymbolic<double>& a, const SparseLuSymbolic<double>& b) {
+    return a.n_ == b.n_ && a.perm_ == b.perm_ && a.perm_inv_ == b.perm_inv_ &&
+           a.pat_col_ptr_ == b.pat_col_ptr_ && a.pat_row_idx_ == b.pat_row_idx_ &&
+           a.upd_ptr_ == b.upd_ptr_ && a.upd_step_ == b.upd_step_ &&
+           a.l_capacity_ == b.l_capacity_ && a.u_capacity_ == b.u_capacity_;
+  }
+
   /// Byte equality of every stored factor array.
   static bool same_factors(const SparseLu<double>& a, const SparseLu<double>& b) {
     auto bits = [](const std::vector<double>& x, const std::vector<double>& y) {
@@ -522,15 +547,24 @@ TripletMatrix<double> revalue_banded(Rng& rng, const TripletMatrix<double>& t,
 }
 
 TEST(SparseLuReachTest, RxArrayJacobianMatchesFullScan) {
+  using A = SparseLuTestAccess;
   const CscMatrix<double> a = rx_array_jacobian(256);
   ASSERT_EQ(a.cols(), 7936u);
+  ASSERT_TRUE(A::takes_reach(a));
   SparseLuSymbolic<double> sym;
   const SparseLu<double> analyzed(a, sym);
   expect_matches_full_scan(a, sym, "rx_array 256");
   SparseLu<double> replayed;
   ASSERT_TRUE(replayed.refactor_from(sym, a));
-  EXPECT_TRUE(SparseLuTestAccess::same_factors(analyzed, replayed));
-  EXPECT_TRUE(SparseLuTestAccess::same_factors(analyzed, SparseLu<double>(a)));
+  EXPECT_TRUE(A::same_factors(analyzed, replayed));
+  EXPECT_TRUE(A::same_factors(analyzed, SparseLu<double>(a)));
+
+  // The reach loop and the scan loop of sparse.cpp on the same matrix.
+  SparseLuSymbolic<double> scan_sym;
+  SparseLu<double> scanned;
+  A::analyze_by_scan(scanned, a, scan_sym);
+  EXPECT_TRUE(A::same_factors(analyzed, scanned));
+  EXPECT_TRUE(A::same_symbolic(sym, scan_sym));
 }
 
 TEST(SparseLuReachTest, FuzzLargeSparseAgainstFullScan) {
@@ -542,7 +576,13 @@ TEST(SparseLuReachTest, FuzzLargeSparseAgainstFullScan) {
     SparseLuSymbolic<double> sym;
     const SparseLu<double> analyzed(a0, sym);
     const std::string what = "trial " + std::to_string(trial) + " n=" + std::to_string(n);
+    ASSERT_TRUE(SparseLuTestAccess::takes_reach(a0)) << what;
     expect_matches_full_scan(a0, sym, what);
+    SparseLuSymbolic<double> scan_sym;
+    SparseLu<double> scanned;
+    SparseLuTestAccess::analyze_by_scan(scanned, a0, scan_sym);
+    EXPECT_TRUE(SparseLuTestAccess::same_factors(analyzed, scanned)) << what;
+    EXPECT_TRUE(SparseLuTestAccess::same_symbolic(sym, scan_sym)) << what;
     SparseLu<double> lu;
     ASSERT_TRUE(lu.refactor_from(sym, a0)) << what;
     EXPECT_TRUE(SparseLuTestAccess::same_factors(analyzed, lu)) << what;
@@ -563,8 +603,10 @@ TEST(SparseLuReachTest, FuzzLargeSparseAgainstFullScan) {
 
 TEST(SparseLuReachTest, FuzzLargeSparseDriftRepairAgainstFullScan) {
   // Dominant diagonals in the first half pin those pivots; weak ones in
-  // the second half drift, so repair switches to analyze mode deep into the
-  // matrix and reaches through the L the replay built.
+  // the second half drift deep into the matrix. The repair (a fresh reach
+  // analysis) must equal factorize()'s own repair, which continues the
+  // drifted replay in scan mode.
+  using A = SparseLuTestAccess;
   Rng rng(0xD21F7);
   int repairs = 0;
   for (int trial = 0; trial < 6; ++trial) {
@@ -575,6 +617,8 @@ TEST(SparseLuReachTest, FuzzLargeSparseDriftRepairAgainstFullScan) {
     // it: a repair must not trip over the reach state of an earlier call.
     SparseLuSymbolic<double> sym;
     SparseLu<double> lu(CscMatrix<double>(t0), sym);
+    SparseLuSymbolic<double> scan_sym = sym;
+    SparseLu<double> scan_lu;
     TripletCscMap<double> map;
     map.build(t0);
     for (int step = 0; step < 3; ++step) {
@@ -582,9 +626,13 @@ TEST(SparseLuReachTest, FuzzLargeSparseDriftRepairAgainstFullScan) {
                                std::to_string(step) + " n=" + std::to_string(n);
       CscMatrix<double> a;
       map.fill(revalue_banded(rng, t0, weak_from), a);
+      ASSERT_TRUE(A::takes_reach(a)) << what;
       bool repaired = false;
       ASSERT_TRUE(lu.refactor_from(sym, a, 0.0, &sym, &repaired)) << what;
-      EXPECT_TRUE(SparseLuTestAccess::same_factors(lu, SparseLu<double>(a))) << what;
+      EXPECT_TRUE(A::same_factors(lu, SparseLu<double>(a))) << what;
+      EXPECT_EQ(A::repair_by_scan(scan_lu, a, scan_sym), repaired) << what;
+      EXPECT_TRUE(A::same_factors(lu, scan_lu)) << what;
+      EXPECT_TRUE(A::same_symbolic(sym, scan_sym)) << what;
       if (repaired) {
         ++repairs;
         expect_matches_full_scan(a, sym, what);
