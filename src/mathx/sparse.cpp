@@ -149,40 +149,32 @@ void TripletCscMap<T>::fill(const TripletMatrix<T>& t, CscMatrix<T>& csc) const 
   }
 }
 
+// The scan-loop entry points. The public constructors and refactor_from()
+// are in sparse_reach.cpp, which sends each matrix here or to
+// analyze_reach(). The choice is kept out of this file on purpose: any code
+// added here changes GCC's inlining decisions for the whole unit. Put here,
+// it changed the machine code of TripletMatrix::add() and factorize(), and
+// the mixer benchmark ran 12% slower.
 template <typename T>
-SparseLu<T>::SparseLu(const CscMatrix<T>& a, double pivot_tol) {
-  if (takes_reach(a))
-    analyze_reach(a, pivot_tol, nullptr);
-  else
-    factorize(a, pivot_tol, nullptr, nullptr);
+SparseLu<T>::SparseLu(ScanTag, const CscMatrix<T>& a, double pivot_tol) {
+  factorize(a, pivot_tol, nullptr, nullptr);
 }
 
 template <typename T>
-SparseLu<T>::SparseLu(const CscMatrix<T>& a, SparseLuSymbolic<T>& sym_out, double pivot_tol) {
-  if (takes_reach(a))
-    analyze_reach(a, pivot_tol, &sym_out);
-  else
-    factorize(a, pivot_tol, nullptr, &sym_out);
+SparseLu<T>::SparseLu(ScanTag, const CscMatrix<T>& a, SparseLuSymbolic<T>& sym_out,
+                      double pivot_tol) {
+  factorize(a, pivot_tol, nullptr, &sym_out);
 }
 
 template <typename T>
-bool SparseLu<T>::refactor_from(const SparseLuSymbolic<T>& sym, const CscMatrix<T>& a,
-                                double pivot_tol, SparseLuSymbolic<T>* repair,
-                                bool* repaired) {
+bool SparseLu<T>::replay(const SparseLuSymbolic<T>& sym, const CscMatrix<T>& a,
+                         double pivot_tol, SparseLuSymbolic<T>* repair, bool* repaired) {
   if (repaired) *repaired = false;
   if (!sym.pattern_matches(a)) {
     n_ = 0;
     return false;
   }
-  if (!takes_reach(a)) return factorize(a, pivot_tol, &sym, repair, repaired);
-  // Large sparse systems replay strictly: factorize()'s repair would finish
-  // in scan mode. A drift repair equals a fresh analysis (see factorize()),
-  // so re-analyze by reach instead.
-  if (factorize(a, pivot_tol, &sym, nullptr)) return true;
-  if (!repair) return false;
-  analyze_reach(a, pivot_tol, repair);
-  if (repaired) *repaired = true;
-  return true;
+  return factorize(a, pivot_tol, &sym, repair, repaired);
 }
 
 // Left-looking column LU with partial pivoting, using a dense work column in
@@ -192,8 +184,8 @@ bool SparseLu<T>::refactor_from(const SparseLuSymbolic<T>& sym, const CscMatrix<
 //
 // Analyze mode (sym == nullptr): the per-column update loop scans all
 // previous columns: O(j) probes per column that each cost almost nothing.
-// That is the cheapest way for the systems this loop gets, small or block
-// dense (takes_reach() sends large sparse ones to analyze_reach() in
+// That is the cheapest way for the systems this loop analyzes, small or
+// block dense (takes_reach() sends large sparse ones to analyze_reach() in
 // sparse_reach.cpp, whose reach visits the same updates in the same order).
 //
 // Replay mode (sym != nullptr): the scan is restricted to the symbolic

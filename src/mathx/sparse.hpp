@@ -251,9 +251,9 @@ class SparseLu {
   /// byte-identical to SparseLu(a, pivot_tol) without restarting from
   /// column zero. (Large sparse systems, whose scan-mode columns would cost
   /// more than a whole reach analysis, do restart: the drifted replay is
-  /// dropped and a fresh analysis writes the same bytes.) `repair` may alias `sym` (it is only written after the
-  /// last read, on complete success); it must NOT be a symbolic shared
-  /// with concurrent readers. A singular pivot at the drift column throws
+  /// dropped and a fresh analysis writes the same bytes.) `repair` may
+  /// alias `sym` (it is only written after the last read, on complete
+  /// success); it must NOT be a symbolic shared with concurrent readers. A singular pivot at the drift column throws
   /// SingularMatrixError, matching the analyzing constructors. `repaired`,
   /// when non-null, reports whether the repair path ran.
   bool refactor_from(const SparseLuSymbolic<T>& sym, const CscMatrix<T>& a,
@@ -282,6 +282,15 @@ class SparseLu {
   bool factorize(const CscMatrix<T>& a, double pivot_tol, const SparseLuSymbolic<T>* sym,
                  SparseLuSymbolic<T>* sym_out, bool* drifted = nullptr);
 
+  // Analyze and replay through factorize() (sparse.cpp). The public
+  // constructors and refactor_from() (sparse_reach.cpp) call these for the
+  // systems takes_reach() keeps on the scan, and replay() for every replay.
+  struct ScanTag {};
+  SparseLu(ScanTag, const CscMatrix<T>& a, double pivot_tol);
+  SparseLu(ScanTag, const CscMatrix<T>& a, SparseLuSymbolic<T>& sym_out, double pivot_tol);
+  bool replay(const SparseLuSymbolic<T>& sym, const CscMatrix<T>& a, double pivot_tol,
+              SparseLuSymbolic<T>* repair, bool* repaired);
+
   // Analyze mode of factorize() for large sparse systems (sparse_reach.cpp):
   // byte-identical factors and symbolic, with each column taking the
   // Gilbert–Peierls reach instead of scanning every earlier step. Their
@@ -297,10 +306,7 @@ class SparseLu {
   // (Release, one binary): rx_array Jacobians (mean column count 4.9)
   // 1.31 at n = 31, 1.06 at n = 62, 0.74 at n = 124, 0.11 at n = 1984;
   // mixer n = 18 1.19; harmonic systems K = 1, 2, 6 (n = 54-234) 2.2-2.4.
-  static bool takes_reach(const CscMatrix<T>& a) {
-    const std::size_t n = a.cols();
-    return n > 0 && 8 * (a.nnz() / n + 8) < n;
-  }
+  static bool takes_reach(const CscMatrix<T>& a);
 
   std::size_t n_ = 0;
   // L is unit-diagonal; stored without the diagonal. U includes diagonal.

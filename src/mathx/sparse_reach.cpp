@@ -1,8 +1,9 @@
-// SparseLu's analyze mode for large sparse systems (generated arrays): the
-// left-looking loop of sparse.cpp, with every column taking the
-// Gilbert–Peierls reach instead of scanning all earlier steps, in the
-// numeric pass and in the structural closure. takes_reach() sends a system
-// here; its replays run sparse.cpp's factorize().
+// SparseLu's public entry points (the constructors and refactor_from()),
+// which choose between the scan loop of sparse.cpp and the reach, and the
+// analyze mode for large sparse systems (generated arrays): the left-looking
+// loop of sparse.cpp, with every column taking the Gilbert–Peierls reach
+// instead of scanning all earlier steps, in the numeric pass and in the
+// structural closure. Every replay runs sparse.cpp's factorize().
 //
 // A second copy of the analyze loop, in a file of its own, on purpose: the
 // reach folded into sparse.cpp's loop, whether as a branch or as a second
@@ -51,6 +52,43 @@ void reach_ascending(std::size_t j, const std::size_t* first, const std::size_t*
 }
 
 }  // namespace
+
+template <typename T>
+bool SparseLu<T>::takes_reach(const CscMatrix<T>& a) {
+  const std::size_t n = a.cols();
+  return n > 0 && 8 * (a.nnz() / n + 8) < n;
+}
+
+template <typename T>
+SparseLu<T>::SparseLu(const CscMatrix<T>& a, double pivot_tol) {
+  if (takes_reach(a))
+    analyze_reach(a, pivot_tol, nullptr);
+  else
+    *this = SparseLu(ScanTag{}, a, pivot_tol);
+}
+
+template <typename T>
+SparseLu<T>::SparseLu(const CscMatrix<T>& a, SparseLuSymbolic<T>& sym_out, double pivot_tol) {
+  if (takes_reach(a))
+    analyze_reach(a, pivot_tol, &sym_out);
+  else
+    *this = SparseLu(ScanTag{}, a, sym_out, pivot_tol);
+}
+
+template <typename T>
+bool SparseLu<T>::refactor_from(const SparseLuSymbolic<T>& sym, const CscMatrix<T>& a,
+                                double pivot_tol, SparseLuSymbolic<T>* repair,
+                                bool* repaired) {
+  if (!takes_reach(a)) return replay(sym, a, pivot_tol, repair, repaired);
+  // Large sparse systems replay strictly: factorize()'s repair would finish
+  // in scan mode. A drift repair equals a fresh analysis (see factorize()),
+  // so re-analyze by reach instead.
+  if (replay(sym, a, pivot_tol, nullptr, repaired)) return true;
+  if (!repair || !sym.pattern_matches(a)) return false;
+  analyze_reach(a, pivot_tol, repair);
+  if (repaired) *repaired = true;
+  return true;
+}
 
 template <typename T>
 void SparseLu<T>::analyze_reach(const CscMatrix<T>& a, double pivot_tol,
@@ -204,9 +242,15 @@ void SparseLu<T>::analyze_reach(const CscMatrix<T>& a, double pivot_tol,
   s.u_capacity_ = s.upd_step_.size() + n;
 }
 
-template void SparseLu<double>::analyze_reach(const CscMatrix<double>&, double,
-                                              SparseLuSymbolic<double>*);
-template void SparseLu<std::complex<double>>::analyze_reach(
-    const CscMatrix<std::complex<double>>&, double, SparseLuSymbolic<std::complex<double>>*);
+#define RFMIX_SPARSE_REACH_INSTANTIATE(T)                                                  \
+  template bool SparseLu<T>::takes_reach(const CscMatrix<T>&);                              \
+  template SparseLu<T>::SparseLu(const CscMatrix<T>&, double);                              \
+  template SparseLu<T>::SparseLu(const CscMatrix<T>&, SparseLuSymbolic<T>&, double);        \
+  template bool SparseLu<T>::refactor_from(const SparseLuSymbolic<T>&, const CscMatrix<T>&, \
+                                           double, SparseLuSymbolic<T>*, bool*);            \
+  template void SparseLu<T>::analyze_reach(const CscMatrix<T>&, double, SparseLuSymbolic<T>*);
+RFMIX_SPARSE_REACH_INSTANTIATE(double)
+RFMIX_SPARSE_REACH_INSTANTIATE(std::complex<double>)
+#undef RFMIX_SPARSE_REACH_INSTANTIATE
 
 }  // namespace rfmix::mathx
